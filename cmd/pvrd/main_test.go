@@ -6,12 +6,32 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"pvr"
 )
+
+// lockedBuffer is the daemon's stderr: os/exec copies into it from a
+// goroutine of its own while the test polls it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 // TestSIGTERMCheckpointsStore runs the real daemon binary with -store,
 // stops it with SIGTERM, and asserts the graceful-shutdown contract: the
@@ -28,7 +48,7 @@ func TestSIGTERMCheckpointsStore(t *testing.T) {
 	}
 
 	storeDir := filepath.Join(dir, "state")
-	var stderr bytes.Buffer
+	var stderr lockedBuffer
 	cmd := exec.Command(bin,
 		"-listen", "127.0.0.1:0",
 		"-asn", "64500",

@@ -66,11 +66,11 @@ func (p *Participant) initObs() {
 	obs.NewGaugeFunc(p.obsReg, "pvr_bgp_sessions", "live BGP sessions, both directions", func() float64 {
 		return float64(p.sessions.len())
 	})
-	obs.NewCounterFunc(p.obsReg, "pvr_sigmemo_hits_total", "seal-signature checks answered by the verify memo", func() float64 {
-		return float64(p.discSealMemo.Hits())
+	obs.NewCounterFunc(p.obsReg, "pvr_sigmemo_hits_total", "verification verdicts (signatures, vector proofs) answered by the verdict memo", func() float64 {
+		return float64(p.verdicts.Hits())
 	})
-	obs.NewCounterFunc(p.obsReg, "pvr_sigmemo_misses_total", "seal-signature checks that ran the full verification", func() float64 {
-		return float64(p.discSealMemo.Misses())
+	obs.NewCounterFunc(p.obsReg, "pvr_sigmemo_misses_total", "verification verdicts that ran the full check", func() float64 {
+		return float64(p.verdicts.Misses())
 	})
 	// netx counters are process totals (every participant and every dialer
 	// in the process shares the frame and buffer-pool paths), exported here

@@ -2,7 +2,10 @@ package pvr
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"pvr/internal/core"
 	"pvr/internal/discplane"
@@ -94,9 +97,9 @@ type Query struct {
 }
 
 // Disclosure is a fetched, fully verified on-demand view: the typed
-// result of QueryDisclosure after the wire answer passed the verification
-// Pipeline and the seal was cross-checked against the audit network's
-// statement store.
+// result of QueryDisclosure after the wire answer passed every view check
+// and the seal was cross-checked against the audit network's statement
+// store.
 type Disclosure struct {
 	// Prover is the AS the view discloses for; Role is the granted role.
 	Prover ASN
@@ -155,14 +158,191 @@ func (p *Participant) RequestAuditProof(ctx context.Context, peer string, pfx Pr
 	return p.QueryDisclosure(ctx, peer, Query{Prefix: pfx, Epoch: epoch, Role: RoleAuditor})
 }
 
+// discIdlePerPeer is how many idle query connections a participant keeps
+// per peer: enough that a few concurrent callers each find one, few
+// enough that an idle peer holds a handful of descriptors.
+const discIdlePerPeer = 4
+
+// discConn is one disclosure connection of the pool. A caller owns it
+// from get to put, so exchanges on it never interleave.
+type discConn struct {
+	Conn
+	// bound is the Prover address of the signed gated query the server
+	// last answered on this connection with a view or an α refusal — the
+	// two answers that leave the connection bound to this participant
+	// (discplane.Server.Serve), unless the server could not authenticate
+	// it at all, and then signing again would be refused the same way.
+	// Gated queries addressed to that prover go out unsigned. 0: none yet.
+	bound ASN
+	// prover is the AS a view fetched on this connection proved the peer
+	// to speak for: every check of the view passed, its seal under the key
+	// the shared registry holds for that AS. Queries the caller left
+	// unaddressed are addressed to it from then on, which is what lets
+	// them bind the session — the server binds on addressed queries only.
+	// 0: no view verified yet, or a private trust-on-first-use registry,
+	// where a key the peer itself supplied proves nothing about whom a
+	// signed query should be good for. It is set by whoever finishes
+	// verifying, possibly after the connection has gone back to the pool,
+	// hence atomic.
+	prover atomic.Uint32
+}
+
+// discPool is a participant's idle disclosure connections, per peer
+// address. It owns no goroutine: a connection idles in a slice, and the
+// serving side's read is what waits.
+type discPool struct {
+	mu     sync.Mutex
+	idle   map[string][]*discConn
+	closed bool
+}
+
+// get returns an idle connection to peer, or nil.
+func (dp *discPool) get(peer string) *discConn {
+	dp.mu.Lock()
+	defer dp.mu.Unlock()
+	cs := dp.idle[peer]
+	if len(cs) == 0 {
+		return nil
+	}
+	c := cs[len(cs)-1]
+	dp.idle[peer] = cs[:len(cs)-1]
+	return c
+}
+
+// put keeps c for the next query to peer, or closes it when the peer's
+// share is full or the participant has closed.
+func (dp *discPool) put(peer string, c *discConn) {
+	dp.mu.Lock()
+	if !dp.closed && len(dp.idle[peer]) < discIdlePerPeer {
+		if dp.idle == nil {
+			dp.idle = make(map[string][]*discConn)
+		}
+		dp.idle[peer] = append(dp.idle[peer], c)
+		c = nil
+	}
+	dp.mu.Unlock()
+	if c != nil {
+		_ = c.Close()
+	}
+}
+
+// close closes every idle connection; connections out with a caller are
+// closed when they come back.
+func (dp *discPool) close() {
+	dp.mu.Lock()
+	idle := dp.idle
+	dp.idle, dp.closed = nil, true
+	dp.mu.Unlock()
+	for _, cs := range idle {
+		for _, c := range cs {
+			_ = c.Close()
+		}
+	}
+}
+
+// exchange runs fetch on c, closing c if ctx ends first so the blocked
+// frame read returns. alive reports that c is still good for another
+// exchange.
+func exchange(ctx context.Context, c Conn, fetch func() (*discplane.View, error)) (view *discplane.View, alive bool, err error) {
+	stop := func() bool { return true }
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { _ = c.Close() })
+	}
+	view, err = fetch()
+	if !stop() {
+		if err != nil {
+			err = ctx.Err()
+		}
+		return view, false, err
+	}
+	return view, true, err
+}
+
+// fetch runs one attributed (or public) query as a session exchange: on an
+// idle connection to peer when the pool has one, on a fresh dial
+// otherwise. A gated query is signed unless the connection is already
+// bound for its prover. The connection goes back to the pool only after a
+// complete, well-formed answer — a view, an α refusal or a not-found —
+// and anything else closes it. A kept connection that dies before any
+// answer arrives (the peer restarted since) costs one retry on a fresh
+// dial. The connection is returned beside a view so that the caller can
+// record on it whom the verified view proved the peer to be.
+func (p *Participant) fetch(ctx context.Context, peer string, dq *discplane.Query) (*discplane.View, *discConn, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	gated := dq.Role == RoleProvider || dq.Role == RolePromisee
+	addressed := dq.Prover
+	c := p.discPool.get(peer)
+	for kept := c != nil; ; kept = false {
+		if c == nil {
+			conn, err := p.transport.Dial(ctx, peer)
+			if err != nil {
+				return nil, nil, err
+			}
+			c = &discConn{Conn: conn}
+		}
+		if addressed == 0 {
+			dq.Prover = ASN(c.prover.Load())
+		}
+		dq.Sig = nil
+		signed := gated && (dq.Prover == 0 || c.bound != dq.Prover)
+		if signed {
+			if err := dq.Sign(p.signer); err != nil {
+				_ = c.Close()
+				return nil, nil, err
+			}
+		}
+		view, alive, err := exchange(ctx, c, func() (*discplane.View, error) { return discplane.Fetch(c, dq) })
+		answered := err == nil || errors.Is(err, discplane.ErrAccessDenied) || errors.Is(err, discplane.ErrNotServed)
+		if alive && answered {
+			if signed && dq.Prover != 0 && !errors.Is(err, discplane.ErrNotServed) {
+				c.bound = dq.Prover
+			}
+			p.discPool.put(peer, c)
+			return view, c, err
+		}
+		_ = c.Close()
+		if !kept || !alive || !errors.Is(err, discplane.ErrNoAnswer) {
+			return view, nil, err
+		}
+		c = nil
+	}
+}
+
+// fetchAnon runs one ring-signed query on a connection of its own, dialed
+// for it and closed after it: two anonymous queries sharing a channel
+// would be linked by it, and one sharing a channel with an attributed
+// session would be named by it.
+func (p *Participant) fetchAnon(ctx context.Context, peer string, aq *discplane.AnonQuery) (*discplane.View, error) {
+	conn, err := p.transport.Dial(ctx, peer)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	view, _, err := exchange(ctx, conn, func() (*discplane.View, error) { return discplane.FetchAnon(conn, aq) })
+	return view, err
+}
+
 // QueryDisclosure runs one on-demand disclosure query against the plane
-// at peer: dial, send the signed DISCLOSE, and verify whatever comes
-// back. A granted view is piped through the verification Pipeline
-// (banlist-checked, signature-cached) and its shard seal is fed to the
-// participant's Auditor — a fetched seal that conflicts with what gossip
-// already holds is equivocation evidence, convicted and ledgered before
-// this returns with an error matching ErrConvicted. Denials surface as
-// ErrAccessDenied (α refused) or ErrNotFound (unknown prefix or epoch).
+// at peer and verifies whatever comes back. Attributed and public queries
+// ride the participant's disclosure sessions (internal/discplane's
+// package documentation has the rule): a small pool of kept connections
+// per peer, each authenticated by the first signed query on it that names
+// the prover. A query that leaves Prover zero is addressed, on a shared
+// registry, to the AS an earlier view on the same connection proved the
+// peer to be. Anonymous queries never ride a session — each dials a
+// connection of its own and closes it.
+//
+// A granted view is checked in full — conviction list, seal signature,
+// Merkle inclusion, §3.3 contents, every statement signature it carries —
+// with signature verdicts against the participant's registry memoized, so
+// a view fetched again within a window costs hashes and no curve
+// arithmetic. Its shard seal is then fed to the participant's Auditor — a
+// fetched seal that conflicts with what gossip already holds is
+// equivocation evidence, convicted and ledgered before this returns with
+// an error matching ErrConvicted. Denials surface as ErrAccessDenied (α
+// refused) or ErrNotFound (unknown prefix or epoch).
 //
 // When the participant runs a private registry (no WithRegistry) and does
 // not yet know the prover's key, the view's key is verified against the
@@ -187,17 +367,15 @@ func (p *Participant) QueryDisclosure(ctx context.Context, peer string, q Query)
 			return nil, errConfigf("query", "Anonymous queries need a ring of at least 2 providers, got %d", len(q.Ring))
 		}
 	}
-	conn, err := p.transport.Dial(ctx, peer)
-	if err != nil {
-		return nil, wrapErr("query", err)
-	}
-	defer conn.Close()
-
 	qtc := q.Trace
 	if qtc.IsZero() {
 		qtc = obs.NewTraceContext()
 	}
-	var view *discplane.View
+	var (
+		view *discplane.View
+		conn *discConn // the session the view came over; nil for an anonymous query
+		err  error
+	)
 	if q.Anonymous {
 		ring, rerr := privplane.CanonicalRing(q.Ring)
 		if rerr != nil {
@@ -211,17 +389,14 @@ func (p *Participant) QueryDisclosure(ctx context.Context, peer string, q Query)
 		if err := aq.Sign(p.priv, p.ringKey); err != nil {
 			return nil, wrapErr("query", err)
 		}
-		if view, err = discplane.FetchAnonContext(ctx, conn, aq); err != nil {
-			return nil, wrapErr("query", err)
-		}
+		view, err = p.fetchAnon(ctx, peer, aq)
 	} else {
-		dq := &discplane.Query{Requester: p.asn, Prover: q.Prover, Role: role, Epoch: q.Epoch, Prefix: q.Prefix, Trace: qtc}
-		if err := dq.Sign(p.signer); err != nil {
-			return nil, wrapErr("query", err)
-		}
-		if view, err = discplane.FetchContext(ctx, conn, dq); err != nil {
-			return nil, wrapErr("query", err)
-		}
+		view, conn, err = p.fetch(ctx, peer, &discplane.Query{
+			Requester: p.asn, Prover: q.Prover, Role: role, Epoch: q.Epoch, Prefix: q.Prefix, Trace: qtc,
+		})
+	}
+	if err != nil {
+		return nil, wrapErr("query", err)
 	}
 	p.queriesSent.Inc()
 	seal := view.Sealed.Seal
@@ -234,12 +409,14 @@ func (p *Participant) QueryDisclosure(ctx context.Context, peer string, q Query)
 		return nil, errKind(KindConvicted, "query", fmt.Errorf("%s stands convicted by audit", prover))
 	}
 
-	// Resolve the verification registry: the participant's own, or — on a
-	// private trust-on-first-use registry meeting this prover for the
-	// first time — a scratch registry holding the view's candidate key,
-	// committed only after the whole chain verifies (the same rule as the
-	// BGP session path: a shared PKI is never written from peer input).
-	reg := p.reg
+	// Resolve the verifier: the participant's registry behind its verdict
+	// memo, or — on a private trust-on-first-use registry meeting this
+	// prover for the first time — a scratch registry holding the view's
+	// candidate key, committed only after the whole chain verifies (the
+	// same rule as the BGP session path: a shared PKI is never written
+	// from peer input). Scratch verdicts are relative to the candidate
+	// key and stay out of the memo.
+	ver := p.memoVer
 	var pinned sigs.PublicKey
 	if _, lerr := p.reg.Lookup(prover); lerr != nil {
 		if p.cfg.registry != nil {
@@ -260,7 +437,7 @@ func (p *Participant) QueryDisclosure(ctx context.Context, peer string, q Query)
 		// PKI assumption — without it the check fails typed, not silently.
 		scratch := sigs.NewRegistry()
 		scratch.Register(prover, k)
-		pinned, reg = k, scratch
+		pinned, ver = k, scratch
 	}
 
 	d := &Disclosure{
@@ -269,54 +446,39 @@ func (p *Participant) QueryDisclosure(ctx context.Context, peer string, q Query)
 		Sealed: view.Sealed,
 		Trace:  view.Trace,
 	}
-	// Every fetched view goes through the verification Pipeline: the same
-	// banlist gate, seal-signature memoization, and §3.3 content checks
-	// the in-process path uses. The seal memo is shared across this
-	// participant's queries (not with the TOFU scratch path, whose
-	// verdicts are registry-relative), so auditing many prefixes of one
-	// prover pays each distinct shard-seal signature check once.
-	pl := engine.NewPipeline(reg, 1)
-	defer pl.Close()
-	if reg == p.reg {
-		pl.ShareSealMemo(p.discSealMemo)
-	}
-	pl.SetBanlist(p.auditor.Convicted)
+	// The same view checks the in-process path and the verification
+	// Pipeline run, called directly: one view needs no worker pool.
+	var verr error
 	switch role {
 	case RoleProvider:
-		pv := &engine.ProviderView{Sealed: view.Sealed, Position: int(view.Position), Opening: *view.Opening}
-		pl.SubmitProvider(pv, *q.Announcement)
-		d.Provider = pv
+		d.Provider = &engine.ProviderView{Sealed: view.Sealed, Position: int(view.Position), Opening: *view.Opening}
+		verr = engine.VerifyProviderView(ver, d.Provider, *q.Announcement)
 	case RolePromisee:
-		mv := &engine.PromiseeView{Sealed: view.Sealed, Openings: view.Openings, Winner: view.Winner, Export: *view.Export}
+		d.Promisee = &engine.PromiseeView{Sealed: view.Sealed, Openings: view.Openings, Winner: view.Winner, Export: *view.Export}
 		if view.ExportOpening != nil {
-			mv.ExportOpening = *view.ExportOpening
+			d.Promisee.ExportOpening = *view.ExportOpening
 		}
-		pl.SubmitPromisee(mv, p.asn)
-		d.Promisee = mv
+		verr = engine.VerifyPromiseeView(ver, d.Promisee)
 	case RoleAuditor:
-		sc := view.Sealed
-		vv := &VectorView{Commitments: view.ZKCommitments, Proof: view.ZKProof}
-		pl.Submit(q.Prefix, prover, func(ver sigs.Verifier) error {
-			if err := sc.Verify(ver); err != nil {
-				return err
-			}
+		d.Vector = &VectorView{Commitments: view.ZKCommitments, Proof: view.ZKProof}
+		if verr = view.Sealed.Verify(ver); verr == nil {
 			// The seal chain is authenticated; now the zero-knowledge half:
 			// the Pedersen vector must digest to what the leaf binds, and
 			// its well-formedness/monotonicity proof must verify under the
 			// seal-bound context.
-			return p.priv.VerifyAuditorProof(sc, vv)
-		})
-		d.Vector = vv
+			verr = p.priv.VerifyAuditorProof(view.Sealed, d.Vector)
+		}
 	default:
-		sc := view.Sealed
-		pl.Submit(q.Prefix, prover, func(ver sigs.Verifier) error { return sc.Verify(ver) })
+		verr = view.Sealed.Verify(ver)
 	}
-	res := pl.Drain()
-	if verr := res[0].Err; verr != nil {
+	if verr != nil {
 		// A *core.Violation stays reachable through Unwrap: catching the
 		// prover breaking its promise is a successful verification outcome
 		// for the protocol, reported as the error it is.
 		return nil, errKind(KindVerification, "query", verr)
+	}
+	if conn != nil && p.cfg.registry != nil {
+		conn.prover.Store(uint32(prover))
 	}
 	if pinned != nil {
 		p.reg.Register(prover, pinned)

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Size is the byte length of a commitment and of the blinding nonce.
@@ -158,13 +159,19 @@ func (o *Opening) UnmarshalBinary(b []byte) error {
 // length ≤ i+1". A well-formed vector is monotone non-decreasing.
 type BitVector struct {
 	Commitments []Commitment
-	openings    []Opening
+	// What an opening cannot be rebuilt from: the vector's id, its bits
+	// and their nonces. A prover holds a vector per prefix for as long as
+	// the prefix stays sealed, so the tag (VectorTag(id, i)) and the value
+	// slice of every opening are made when one is asked for, not kept.
+	id     string
+	bits   []bool
+	nonces [][Size]byte
 }
 
 // VectorTag returns the domain-separation tag for position i (1-based) of a
 // bit vector identified by id (e.g. "AS64500/203.0.113.0/24/epoch7").
 func VectorTag(id string, i int) string {
-	return fmt.Sprintf("pvr/bitvec/%s/%d", id, i)
+	return "pvr/bitvec/" + id + "/" + strconv.Itoa(i)
 }
 
 // CommitBitVector commits position-wise to bits[0..k-1]. The bits must be
@@ -178,7 +185,9 @@ func (c *Committer) CommitBitVector(id string, bits []bool) (*BitVector, error) 
 	}
 	bv := &BitVector{
 		Commitments: make([]Commitment, len(bits)),
-		openings:    make([]Opening, len(bits)),
+		id:          id,
+		bits:        append([]bool(nil), bits...),
+		nonces:      make([][Size]byte, len(bits)),
 	}
 	for i, b := range bits {
 		cm, op, err := c.CommitBit(VectorTag(id, i+1), b)
@@ -186,25 +195,36 @@ func (c *Committer) CommitBitVector(id string, bits []bool) (*BitVector, error) 
 			return nil, err
 		}
 		bv.Commitments[i] = cm
-		bv.openings[i] = op
+		bv.nonces[i] = op.Nonce
 	}
 	return bv, nil
+}
+
+// opening rebuilds the opening for 1-based position i.
+func (bv *BitVector) opening(i int) Opening {
+	v := []byte{0}
+	if bv.bits[i-1] {
+		v[0] = 1
+	}
+	return Opening{Tag: VectorTag(bv.id, i), Value: v, Nonce: bv.nonces[i-1]}
 }
 
 // Open returns the opening for 1-based position i; this is what A reveals
 // to a neighbor N_i that supplied a route of length i (§3.3).
 func (bv *BitVector) Open(i int) (Opening, error) {
-	if i < 1 || i > len(bv.openings) {
-		return Opening{}, fmt.Errorf("commit: position %d out of range 1..%d", i, len(bv.openings))
+	if i < 1 || i > len(bv.bits) {
+		return Opening{}, fmt.Errorf("commit: position %d out of range 1..%d", i, len(bv.bits))
 	}
-	return bv.openings[i-1], nil
+	return bv.opening(i), nil
 }
 
 // OpenAll returns every opening in order; this is what A reveals to the
 // promisee B, which checks the full vector.
 func (bv *BitVector) OpenAll() []Opening {
-	out := make([]Opening, len(bv.openings))
-	copy(out, bv.openings)
+	out := make([]Opening, len(bv.bits))
+	for i := range out {
+		out[i] = bv.opening(i + 1)
+	}
 	return out
 }
 

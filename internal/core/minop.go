@@ -91,6 +91,10 @@ func (mc *MinCommitment) bytes() ([]byte, error) {
 		return nil, err
 	}
 	var buf bytes.Buffer
+	// Sized exactly: the engine keeps these bytes as Merkle leaves for as
+	// long as a shard stays sealed, and a buffer grown by doubling would
+	// keep up to as much again unused behind each.
+	buf.Grow(len(tagMinCmt) + 8 + 4 + 1 + len(pb) + 4 + len(mc.Commitments)*len(commit.Commitment{}))
 	buf.WriteString(tagMinCmt)
 	var u8 [8]byte
 	binary.BigEndian.PutUint64(u8[:], mc.Epoch)

@@ -1,15 +1,40 @@
 package discplane
 
 import (
-	"context"
+	"errors"
 	"fmt"
 
 	"pvr/internal/netx"
 )
 
+// ErrNoAnswer is wrapped (beside the transport's own error) by every
+// Fetch and FetchAnon failure that happened before a response frame
+// arrived: the query could not be sent, or the connection ended while
+// waiting. A caller that kept the connection from an earlier exchange
+// cannot tell a restarted peer from a dead one by it, and may ask again
+// on a fresh connection; once a frame has arrived, errors are about its
+// contents and asking again would not help.
+var ErrNoAnswer = errors.New("discplane: no answer on this connection")
+
+// roundTrip sends one query frame (recycling the pooled payload) and
+// receives the response frame.
+func roundTrip(c FrameConn, typ uint8, payload []byte) (netx.Frame, error) {
+	if err := netx.SendPooled(c, typ, payload); err != nil {
+		return netx.Frame{}, fmt.Errorf("%w: %w", ErrNoAnswer, err)
+	}
+	f, err := c.Recv()
+	if err != nil {
+		return netx.Frame{}, fmt.Errorf("%w: %w", ErrNoAnswer, err)
+	}
+	return f, nil
+}
+
 // Fetch runs the client side of one disclosure query: send DISCLOSE,
 // receive VIEW or DENY. A denial is returned as a *Denial error (match
 // with errors.Is against ErrAccessDenied / ErrNotServed / ErrBadQuery).
+// A gated query goes out signed (Query.Sign) unless the connection is a
+// session the server has already bound to the requester (Server.Serve),
+// in which case q.Sig may be empty.
 // The returned view is structurally decoded and cross-checked against
 // the query, but NOT verified — the caller owns signature, inclusion,
 // and §3.3 content verification.
@@ -18,10 +43,7 @@ func Fetch(c FrameConn, q *Query) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := netx.SendPooled(c, FrameDisclose, payload); err != nil {
-		return nil, err
-	}
-	f, err := c.Recv()
+	f, err := roundTrip(c, FrameDisclose, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -64,10 +86,7 @@ func FetchAnon(c FrameConn, q *AnonQuery) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := netx.SendPooled(c, FrameDiscloseAnon, payload); err != nil {
-		return nil, err
-	}
-	f, err := c.Recv()
+	f, err := roundTrip(c, FrameDiscloseAnon, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -96,42 +115,4 @@ func FetchAnon(c FrameConn, q *AnonQuery) (*View, error) {
 		return v, nil
 	}
 	return nil, fmt.Errorf("discplane: protocol error: got frame %#x", f.Type)
-}
-
-// FetchContext is Fetch bounded by a context: when ctx ends mid-exchange
-// the connection is torn down (if it exposes Close) so the blocked frame
-// read returns, and ctx's error is reported.
-func FetchContext(ctx context.Context, c FrameConn, q *Query) (*View, error) {
-	return fetchBounded(ctx, c, func() (*View, error) { return Fetch(c, q) })
-}
-
-// FetchAnonContext is FetchAnon bounded by a context, with the same
-// teardown semantics as FetchContext.
-func FetchAnonContext(ctx context.Context, c FrameConn, q *AnonQuery) (*View, error) {
-	return fetchBounded(ctx, c, func() (*View, error) { return FetchAnon(c, q) })
-}
-
-func fetchBounded(ctx context.Context, c FrameConn, fetch func() (*View, error)) (*View, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if ctx.Done() == nil {
-		return fetch()
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			if closer, ok := c.(interface{ Close() error }); ok {
-				_ = closer.Close()
-			}
-		case <-stop:
-		}
-	}()
-	v, err := fetch()
-	if cerr := ctx.Err(); cerr != nil && err != nil {
-		return nil, cerr
-	}
-	return v, err
 }

@@ -2,7 +2,6 @@ package discplane
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"net/netip"
 	"sync"
@@ -35,7 +34,7 @@ type fixture struct {
 	ann     core.Announcement
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	f := &fixture{
 		reg:     sigs.NewRegistry(),
@@ -412,18 +411,6 @@ func TestResponseCacheServesRepeatQueries(t *testing.T) {
 	}
 	if got := f.srv.Served(); got != 3 {
 		t.Fatalf("served %d, want 3", got)
-	}
-}
-
-func TestFetchContextCancellation(t *testing.T) {
-	f := newFixture(t)
-	client, server := netx.Pipe()
-	defer server.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	q := &Query{Requester: 0, Role: RoleObserver, Epoch: 1, Prefix: f.pfx}
-	if _, err := FetchContext(ctx, client, q); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled fetch: %v, want context.Canceled", err)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 )
 
 // discMetrics are the query plane's server-side instruments. Handles stay
-// live without a registry, so Respond never branches on observability.
+// live without a registry, so the serve path never branches on observability.
 type discMetrics struct {
 	queries *obs.Counter   // DISCLOSE frames decoded (well- or ill-formed)
 	served  *obs.Counter   // VIEW responses sent
@@ -15,6 +15,22 @@ type discMetrics struct {
 	hits    *obs.Counter // response-cache hits
 	misses  *obs.Counter // response-cache misses (view built fresh)
 	evicted *obs.Counter // cached views dropped at window transitions
+	// rejected counts frames the listener guard refused, by reason.
+	rejected [len(rejectReasons)]*obs.Counter
+}
+
+// Reasons the listener guard refuses a frame, the label values of
+// pvr_disc_rejected_total.
+const (
+	rejectFrameType = iota
+	rejectOversize
+	rejectUndecodable
+)
+
+var rejectReasons = [...]string{
+	rejectFrameType:   "frame_type",
+	rejectOversize:    "oversize",
+	rejectUndecodable: "undecodable",
 }
 
 func newDiscMetrics(r *obs.Registry) *discMetrics {
@@ -26,6 +42,11 @@ func newDiscMetrics(r *obs.Registry) *discMetrics {
 		hits:    obs.NewCounter(r, "pvr_disc_cache_hits_total", "response-cache hits"),
 		misses:  obs.NewCounter(r, "pvr_disc_cache_misses_total", "response-cache misses"),
 		evicted: obs.NewCounter(r, "pvr_disc_cache_evictions_total", "cached views dropped at window transitions"),
+	}
+	for i, reason := range rejectReasons {
+		m.rejected[i] = obs.NewCounter(r,
+			`pvr_disc_rejected_total{reason="`+reason+`"}`,
+			"frames refused by the listener guard before any signature, ring or engine work")
 	}
 	for i, role := range []Role{RoleObserver, RoleProvider, RolePromisee, RoleAuditor} {
 		m.latRole[i] = obs.NewHistogram(r,

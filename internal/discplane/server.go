@@ -2,6 +2,7 @@ package discplane
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -111,7 +112,9 @@ func (s *nonceSet) seen(n [NonceSize]byte) bool {
 		return true
 	}
 	if s.cur == nil {
-		s.cur = make(map[[NonceSize]byte]struct{}, nonceGeneration)
+		// Grown on demand: on a session only the first query carries a
+		// nonce, so a generation is rarely anywhere near full.
+		s.cur = make(map[[NonceSize]byte]struct{})
 	}
 	s.cur[n] = struct{}{}
 	if len(s.cur) >= nonceGeneration {
@@ -141,31 +144,112 @@ func (s *Server) Served() uint64 { return uint64(s.met.served.Value()) }
 // Denied counts denials sent.
 func (s *Server) Denied() uint64 { return uint64(s.met.denied.Value()) }
 
+// Payload bounds of the two query frames, enforced before decoding. A
+// Query is a few fixed fields, one signature and trailing extensions; an
+// AnonQuery also carries a ring of at most maxWireRing members and one
+// ring-signature component per member.
+const (
+	maxQueryPayload     = 4 << 10
+	maxAnonQueryPayload = 128 << 10
+)
+
+// session is what a serve loop remembers about its connection.
+type session struct {
+	// bound is the principal a signed gated query has bound the
+	// connection to (0: none yet).
+	bound aspath.ASN
+	// refused is set when a signed gated query failed authentication.
+	refused bool
+}
+
+// errUnauthenticated ends a session whose peer presented a signed query
+// that did not authenticate.
+var errUnauthenticated = errors.New("discplane: signed query failed authentication; session ended")
+
+// Serve answers queries on the connection, one exchange after another,
+// until the peer hangs up, the listener guard refuses a frame, or ctx
+// ends — which closes the connection (if it exposes Close) so the blocked
+// frame read returns. The caller closes the connection afterwards.
+//
+// The connection is a session. The first gated query on it is signed and
+// checked like any other: signature, recovered nonce floor, nonce set.
+// Passing binds the connection to that Requester, and later gated queries
+// naming the bound principal may travel with an empty Sig: they are
+// served with no signature check, no nonce-set insert and no OnNonce
+// call. An unsigned gated query on an unbound connection, or naming
+// anyone else, is denied with the DenyAccess an unauthenticated query has
+// always got; a signed one is verified as ever and rebinds. Only a query
+// addressed to this prover binds: an unaddressed one (Prover 0) could be
+// a frame captured at another prover, good for the one view it names and
+// no more.
+//
+// A signed gated query that fails authentication — wrong addressee, bad
+// signature, stale or replayed nonce — is answered with its denial and
+// ends the session. Whoever keeps the connection can then take any
+// DenyAccess to a signed query as "authenticated, but α refuses": either
+// that is so and the connection is bound, or the connection is gone and
+// the next query on it is signed again on a fresh one.
+func (s *Server) Serve(ctx context.Context, c FrameConn) error {
+	if closer, ok := c.(interface{ Close() error }); ok && ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { _ = closer.Close() })
+		defer stop()
+	}
+	var sess session
+	for {
+		if err := s.exchange(c, &sess); err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return err
+		}
+		if sess.refused {
+			return errUnauthenticated
+		}
+	}
+}
+
 // Respond handles exactly one query on the connection: receive DISCLOSE,
-// answer VIEW or DENY. A transport or framing error is returned (the
-// caller should close the connection); a denial is a successful exchange
-// and returns nil.
+// answer VIEW or DENY. It is Serve for a session of length one — nothing
+// is remembered between calls, so every gated query must be signed. A
+// transport or framing error is returned (the caller should close the
+// connection); a denial is a successful exchange and returns nil.
 func (s *Server) Respond(c FrameConn) error {
+	return s.exchange(c, new(session))
+}
+
+// exchange runs one query/answer on a session. The listener guard comes
+// first: an unknown frame type, an oversize payload or an undecodable
+// query is refused and counted before any signature, ring or engine work,
+// and the returned error ends the session.
+func (s *Server) exchange(c FrameConn, sess *session) error {
 	f, err := c.Recv()
 	if err != nil {
 		return err
 	}
-	if f.Type == FrameDiscloseAnon {
-		return s.respondAnon(c, f)
-	}
-	if f.Type != FrameDisclose {
+	limit := maxQueryPayload
+	switch f.Type {
+	case FrameDisclose:
+	case FrameDiscloseAnon:
+		limit = maxAnonQueryPayload
+	default:
+		s.met.rejected[rejectFrameType].Inc()
 		return fmt.Errorf("discplane: protocol error: got frame %#x, want %#x", f.Type, FrameDisclose)
 	}
 	t0 := time.Now()
 	s.met.queries.Inc()
+	if len(f.Payload) > limit {
+		s.met.rejected[rejectOversize].Inc()
+		return s.refuse(c, t0, fmt.Sprintf("%d-byte query, limit %d", len(f.Payload), limit))
+	}
+	if f.Type == FrameDiscloseAnon {
+		return s.respondAnon(c, f, t0)
+	}
 	q, err := DecodeQuery(f.Payload)
 	if err != nil {
-		s.met.denied.Inc()
-		s.met.latAll.ObserveSince(t0)
-		_ = netx.SendPooled(c, FrameDeny, (&Denial{Code: DenyBadQuery, Detail: "undecodable query"}).Encode())
-		return fmt.Errorf("%w: %v", ErrBadQuery, err)
+		s.met.rejected[rejectUndecodable].Inc()
+		return s.refuse(c, t0, "undecodable query: "+err.Error())
 	}
-	payload, denial := s.answer(q)
+	payload, denial := s.answer(q, sess)
 	el := time.Since(t0)
 	s.met.latAll.ObserveDuration(el)
 	if q.Role.valid() {
@@ -190,20 +274,25 @@ func (s *Server) Respond(c FrameConn) error {
 	return c.Send(netx.Frame{Type: FrameView, Payload: payload})
 }
 
+// refuse answers a query the listener guard rejected with a best-effort
+// DenyBadQuery and returns the error that ends the session.
+func (s *Server) refuse(c FrameConn, t0 time.Time, why string) error {
+	s.met.denied.Inc()
+	s.met.latAll.ObserveSince(t0)
+	_ = netx.SendPooled(c, FrameDeny, (&Denial{Code: DenyBadQuery, Detail: "malformed query"}).Encode())
+	return fmt.Errorf("%w: %s", ErrBadQuery, why)
+}
+
 // respondAnon handles one anonymous (ring-signed) provider query: the
 // answer is a provider-role VIEW, granted when the ring checks out, with
 // no requester identity learned or recorded — the served event carries
 // AS 0 and the ring size, which is exactly what a server-side observer
 // can know.
-func (s *Server) respondAnon(c FrameConn, f netx.Frame) error {
-	t0 := time.Now()
-	s.met.queries.Inc()
+func (s *Server) respondAnon(c FrameConn, f netx.Frame, t0 time.Time) error {
 	q, err := DecodeAnonQuery(f.Payload)
 	if err != nil {
-		s.met.denied.Inc()
-		s.met.latAll.ObserveSince(t0)
-		_ = netx.SendPooled(c, FrameDeny, (&Denial{Code: DenyBadQuery, Detail: "undecodable anonymous query"}).Encode())
-		return fmt.Errorf("%w: %v", ErrBadQuery, err)
+		s.met.rejected[rejectUndecodable].Inc()
+		return s.refuse(c, t0, "undecodable anonymous query: "+err.Error())
 	}
 	payload, denial := s.answerAnon(q)
 	el := time.Since(t0)
@@ -285,37 +374,46 @@ func (s *Server) answerAnon(q *AnonQuery) ([]byte, *Denial) {
 	return payload, nil
 }
 
-// RespondContext is Respond bounded by a context: when ctx ends
-// mid-exchange the connection is torn down (if it exposes Close) so the
-// blocked frame read returns.
-func (s *Server) RespondContext(ctx context.Context, c FrameConn) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// authenticate establishes that a gated query comes from the principal it
+// names. A signed query proves it on its own: the signature covers the
+// addressed prover and a fresh nonce, both enforced here, so a captured
+// query can be replayed neither to another prover nor to this one; it
+// then binds the session. An unsigned one rides the binding a signed
+// query left on the same connection, as the same principal.
+func (s *Server) authenticate(q *Query, sess *session) *Denial {
+	if q.Requester == 0 {
+		return &Denial{Code: DenyAccess, Detail: fmt.Sprintf("anonymous requester cannot hold role %s", q.Role)}
 	}
-	if ctx.Done() == nil {
-		return s.Respond(c)
+	if q.Prover != 0 && q.Prover != s.cfg.ASN {
+		return &Denial{Code: DenyAccess, Detail: fmt.Sprintf("query addressed to %s, this prover is %s", q.Prover, s.cfg.ASN)}
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			if closer, ok := c.(interface{ Close() error }); ok {
-				_ = closer.Close()
-			}
-		case <-stop:
+	if len(q.Sig) == 0 {
+		if sess.bound == 0 || sess.bound != q.Requester {
+			return &Denial{Code: DenyAccess, Detail: fmt.Sprintf("requester %s not authenticated", q.Requester)}
 		}
-	}()
-	err := s.Respond(c)
-	if cerr := ctx.Err(); cerr != nil && err != nil {
-		return cerr
+		return nil
 	}
-	return err
+	if err := q.Verify(s.cfg.Registry); err != nil {
+		return &Denial{Code: DenyAccess, Detail: fmt.Sprintf("requester %s not authenticated", q.Requester)}
+	}
+	if stamp := NonceStamp(q.Nonce); stamp <= s.cfg.NonceFloor {
+		return &Denial{Code: DenyAccess, Detail: "stale query nonce (below recovered floor)"}
+	}
+	if s.nonces.seen(q.Nonce) {
+		return &Denial{Code: DenyAccess, Detail: "replayed query nonce"}
+	}
+	if s.cfg.OnNonce != nil {
+		s.cfg.OnNonce(NonceStamp(q.Nonce))
+	}
+	if q.Prover == s.cfg.ASN {
+		sess.bound = q.Requester
+	}
+	return nil
 }
 
-// answer applies α and builds the encoded VIEW payload for a query, or
-// the Denial that refuses it.
-func (s *Server) answer(q *Query) ([]byte, *Denial) {
+// answer applies α and builds the encoded VIEW payload for a query on a
+// session, or the Denial that refuses it.
+func (s *Server) answer(q *Query, sess *session) ([]byte, *Denial) {
 	if !q.Role.valid() {
 		return nil, &Denial{Code: DenyBadQuery, Detail: fmt.Sprintf("invalid role %d", uint8(q.Role))}
 	}
@@ -326,27 +424,10 @@ func (s *Server) answer(q *Query) ([]byte, *Denial) {
 	// never to a bare connection. The observer view is public material
 	// (the same bytes gossip through the audit network), and the auditor
 	// view is zero-knowledge by construction, so both may be anonymous.
-	// For gated roles the signature covers the addressed prover and a
-	// fresh nonce, both enforced here, so a captured query can be
-	// replayed neither to another prover nor to this one.
 	if q.Role != RoleObserver && q.Role != RoleAuditor {
-		if q.Requester == 0 {
-			return nil, &Denial{Code: DenyAccess, Detail: fmt.Sprintf("anonymous requester cannot hold role %s", q.Role)}
-		}
-		if q.Prover != 0 && q.Prover != s.cfg.ASN {
-			return nil, &Denial{Code: DenyAccess, Detail: fmt.Sprintf("query addressed to %s, this prover is %s", q.Prover, s.cfg.ASN)}
-		}
-		if err := q.Verify(s.cfg.Registry); err != nil {
-			return nil, &Denial{Code: DenyAccess, Detail: fmt.Sprintf("requester %s not authenticated", q.Requester)}
-		}
-		if stamp := NonceStamp(q.Nonce); stamp <= s.cfg.NonceFloor {
-			return nil, &Denial{Code: DenyAccess, Detail: "stale query nonce (below recovered floor)"}
-		}
-		if s.nonces.seen(q.Nonce) {
-			return nil, &Denial{Code: DenyAccess, Detail: "replayed query nonce"}
-		}
-		if s.cfg.OnNonce != nil {
-			s.cfg.OnNonce(NonceStamp(q.Nonce))
+		if denial := s.authenticate(q, sess); denial != nil {
+			sess.refused = len(q.Sig) > 0
+			return nil, denial
 		}
 	}
 	// The cache key snapshots the window before building; a concurrent

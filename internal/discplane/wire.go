@@ -17,6 +17,35 @@
 // internal/netx framing, so the same bytes run over an in-process
 // netx.Pipe in the simulator, the in-memory pvr transport in tests, and
 // TCP in cmd/pvrd.
+//
+// # Sessions
+//
+// A connection is a session (Server.Serve). A gated query — provider or
+// promisee role — is signed, and checked as it always was: signature,
+// recovered nonce floor, nonce set. One that passes and is addressed to
+// this prover binds the connection to its Requester, and later gated
+// queries naming the bound principal may travel with an empty Sig: they
+// are answered with no signature check, no nonce-set insert and no OnNonce
+// call. An unsigned gated query on an unbound connection, or naming anyone
+// else, gets the DenyAccess an unauthenticated query has always got; a
+// signed one is verified as ever and rebinds; a signed one that fails to
+// authenticate is denied and ends the session. One exchange on a
+// connection of its own (Respond) is a session of length one. Ring-signed
+// anonymous queries bind nothing and ride no binding; a requester who
+// wants them unlinkable sends each on a connection of its own.
+//
+// This asks no more trust than signing every query did. What a signature
+// per query bought was that nobody could put a query of their own on
+// somebody else's connection. The plane is not encrypted: whoever can
+// write into an established connection can also read it, and so already
+// sees every view served on it — α fails there with or without sessions,
+// and confidentiality against the path is the transport's job. What the
+// signature must still do, it does: a principal is bound only by proving
+// itself on that very connection, with a query that is good at no other
+// prover (it names this one — an unaddressed query is answered but binds
+// nothing) and at no other time (the nonce set, and after a restart the
+// recovered NonceFloor, refuse a captured first frame on a new
+// connection).
 package discplane
 
 import (
@@ -785,7 +814,10 @@ func (v *View) Encode() ([]byte, error) {
 		}
 		b = netx.AppendBytes(b, pb)
 	}
-	return appendTraceExt(b, v.Trace), nil
+	// Sized exactly: the server keeps an encoding for as long as its window
+	// lasts, and a buffer grown by doubling would keep up to as much again
+	// unused behind each.
+	return bytes.Clone(appendTraceExt(b, v.Trace)), nil
 }
 
 // DecodeView decodes an Encode payload (exact length), reconstructing the

@@ -103,12 +103,14 @@ func (ev Event) SetTrace(tc TraceContext) Event {
 
 // Tracer is a fixed-capacity ring buffer of Events. Record overwrites the
 // oldest entry once full, so the tracer holds the most recent window of
-// activity at a constant memory cost. A nil *Tracer discards records, so
+// activity at a bounded memory cost; the ring is grown as it first fills,
+// so a tracer that has seen a handful of events holds a handful. A nil *Tracer discards records, so
 // instrumented code never branches on whether tracing is wired up.
 type Tracer struct {
-	mu  sync.Mutex
-	buf []Event
-	seq uint64 // total events ever recorded
+	mu   sync.Mutex
+	buf  []Event // the ring; len(buf) == min(seq, size)
+	size uint64
+	seq  uint64 // total events ever recorded
 }
 
 // NewTracer returns a tracer holding the most recent capacity events
@@ -117,7 +119,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Tracer{buf: make([]Event, capacity)}
+	return &Tracer{size: uint64(capacity)}
 }
 
 // Record appends ev, stamping Seq and (when unset) At. Safe on a nil
@@ -131,7 +133,16 @@ func (t *Tracer) Record(ev Event) {
 	}
 	t.mu.Lock()
 	ev.Seq = t.seq
-	t.buf[t.seq%uint64(len(t.buf))] = ev
+	if t.seq < t.size {
+		if len(t.buf) == cap(t.buf) {
+			grown := make([]Event, len(t.buf), min(max(16, 2*uint64(len(t.buf))), t.size))
+			copy(grown, t.buf)
+			t.buf = grown
+		}
+		t.buf = append(t.buf, ev)
+	} else {
+		t.buf[t.seq%t.size] = ev
+	}
 	t.seq++
 	t.mu.Unlock()
 }
@@ -158,8 +169,8 @@ func (t *Tracer) Since(seq uint64) (events []Event, next uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	oldest := uint64(0)
-	if t.seq > uint64(len(t.buf)) {
-		oldest = t.seq - uint64(len(t.buf))
+	if t.seq > t.size {
+		oldest = t.seq - t.size
 	}
 	if seq < oldest {
 		seq = oldest
@@ -169,7 +180,7 @@ func (t *Tracer) Since(seq uint64) (events []Event, next uint64) {
 	}
 	out := make([]Event, 0, t.seq-seq)
 	for i := seq; i < t.seq; i++ {
-		out = append(out, t.buf[i%uint64(len(t.buf))])
+		out = append(out, t.buf[i%t.size])
 	}
 	return out, t.seq
 }
@@ -182,16 +193,13 @@ func (t *Tracer) Recent(n int) []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	have := t.seq
-	if have > uint64(len(t.buf)) {
-		have = uint64(len(t.buf))
-	}
+	have := min(t.seq, t.size)
 	if n > 0 && uint64(n) < have {
 		have = uint64(n)
 	}
 	out := make([]Event, 0, have)
 	for i := t.seq - have; i < t.seq; i++ {
-		out = append(out, t.buf[i%uint64(len(t.buf))])
+		out = append(out, t.buf[i%t.size])
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package privplane
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -12,12 +13,19 @@ import (
 	"pvr/internal/obs"
 	"pvr/internal/prefix"
 	"pvr/internal/ringsig"
+	"pvr/internal/sigs"
 	"pvr/internal/zkp"
 )
 
 // vectorCtxTag domain-separates the Fiat–Shamir context binding a vector
 // proof to the sealed commitment it opens.
 const vectorCtxTag = "pvr/priv/vector-ctx/v1"
+
+// proofVerdictTag domain-separates memoized vector-proof verdicts from the
+// signature verdicts sharing the memo. VectorCtx is self-delimiting (fixed
+// fields, a length-prefixed prefix, a fixed-size root) and the digest is
+// fixed-size, so the concatenation under the tag is unambiguous.
+const proofVerdictTag = "pvr/priv/proof-verdict/v1"
 
 // Config parameterizes a Plane.
 type Config struct {
@@ -30,6 +38,11 @@ type Config struct {
 	// MinRing is the server's minimum acceptable anonymity set (default
 	// and floor 2: a smaller ring names its signer).
 	MinRing int
+	// Memo, when non-nil, memoizes VerifyAuditorProof verdicts, keyed on
+	// the seal-bound context, the commitment digest and the proof bytes: an
+	// auditor fetching an unchanged proof again in the same window pays for
+	// hashing it, not for the exponentiations.
+	Memo *sigs.VerifyMemo
 	// Obs, when non-nil, exports the plane's pvr_priv_* metric families.
 	Obs *obs.Registry
 }
@@ -203,13 +216,33 @@ func (p *Plane) VerifyAuditorProof(sc *engine.SealedCommitment, vv *VectorView) 
 		return fmt.Errorf("privplane: commitment vector does not match the sealed digest")
 	}
 	t0 := time.Now()
-	err := zkp.VerifyVector(vv.Commitments, vv.Proof, VectorCtx(sc))
+	ctx := VectorCtx(sc)
+	verify := func() error { return zkp.VerifyVector(vv.Commitments, vv.Proof, ctx) }
+	var err error
+	if p.cfg.Memo == nil {
+		err = verify()
+	} else {
+		// The verdict is a function of exactly these three: the context
+		// names the seal (prover, epoch, window, prefix, shard root), the
+		// digest — just checked against the seal's — names the commitment
+		// vector, and the proof is the proof. A byte of difference in any
+		// of them is a different key, verified from scratch.
+		pb, merr := vv.Proof.MarshalBinary()
+		if merr != nil {
+			return merr
+		}
+		h := sha256.New()
+		h.Write([]byte(proofVerdictTag))
+		h.Write(ctx)
+		h.Write(sc.ZKDigest[:])
+		h.Write(pb)
+		var key [sha256.Size]byte
+		h.Sum(key[:0])
+		err = p.cfg.Memo.Do(key, verify)
+	}
 	p.met.proofVerifySec.ObserveSince(t0)
 	p.met.proofVerifies.Inc()
-	if err != nil {
-		return err
-	}
-	return nil
+	return err
 }
 
 // VectorCtx derives the Fiat–Shamir context a vector proof is bound to:

@@ -12,6 +12,7 @@ import (
 	"pvr/internal/prefix"
 	"pvr/internal/route"
 	"pvr/internal/sigs"
+	"pvr/internal/zkp"
 )
 
 const tProver = aspath.ASN(100)
@@ -294,5 +295,67 @@ func TestVectorViewVerifiesAndCaches(t *testing.T) {
 	mut.Commitments[0], mut.Commitments[1] = mut.Commitments[1], mut.Commitments[0]
 	if p.VerifyAuditorProof(sc, mut) == nil {
 		t.Fatal("reordered commitment vector verified")
+	}
+}
+
+// TestAuditorProofVerdictMemo: with a memo, an unchanged proof under an
+// unchanged seal is verified once; a proof differing in one byte, or the
+// same proof under another seal, is a different key — verified from
+// scratch, and rejected.
+func TestAuditorProofVerdictMemo(t *testing.T) {
+	e := newEnv(t, 3, 2)
+	memo := sigs.NewVerifyMemo()
+	p, err := New(Config{Engine: e.eng, Dir: e.dir, Memo: memo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vv, sc, err := p.VectorView(e.pfxs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := p.VerifyAuditorProof(sc, vv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if memo.Misses() != 1 || memo.Hits() != 2 {
+		t.Fatalf("three checks of one proof: %d verified, %d memoized; want 1 and 2", memo.Misses(), memo.Hits())
+	}
+
+	// One byte of the proof differs (the wire form of a response changes
+	// in its last byte).
+	pb, err := vv.Proof.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb[len(pb)-1] ^= 1
+	var bent zkp.VectorProof
+	if err := bent.UnmarshalBinary(pb); err != nil {
+		t.Fatal(err)
+	}
+	if p.VerifyAuditorProof(sc, &VectorView{Commitments: vv.Commitments, Proof: &bent}) == nil {
+		t.Fatal("a proof differing in one byte was accepted")
+	}
+	if memo.Misses() != 2 {
+		t.Fatalf("a proof differing in one byte was answered from the memo (misses %d)", memo.Misses())
+	}
+
+	// The same proof and commitments under a different seal: another
+	// prefix's, so the seal-bound context differs.
+	_, sc2, err := p.VectorView(e.pfxs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := *sc2
+	moved.ZKDigest = sc.ZKDigest // let it past the digest check, onto the proof
+	if p.VerifyAuditorProof(&moved, vv) == nil {
+		t.Fatal("a proof was accepted under a seal it was not made for")
+	}
+	if memo.Misses() != 3 {
+		t.Fatalf("the same proof under another seal was answered from the memo (misses %d)", memo.Misses())
+	}
+	// And the honest verdict is still there.
+	if err := p.VerifyAuditorProof(sc, vv); err != nil || memo.Misses() != 3 {
+		t.Fatalf("original proof: %v, misses %d", err, memo.Misses())
 	}
 }

@@ -1,6 +1,7 @@
 package sigs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -312,4 +313,52 @@ func BenchmarkBatchVerifierFlush(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sig")
+}
+
+// countingVerifier accepts everything and counts how often it was asked.
+type countingVerifier struct{ calls int }
+
+func (v *countingVerifier) Lookup(aspath.ASN) (PublicKey, error) { return nil, ErrUnknownKey }
+func (v *countingVerifier) Verify(aspath.ASN, []byte, []byte) error {
+	v.calls++
+	return nil
+}
+
+func TestVerifyMemoIsBounded(t *testing.T) {
+	m := NewVerifyMemo()
+	ver := &countingVerifier{}
+	hot := []byte("a seal every window re-checks")
+	if err := m.Verify(ver, 1, hot, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Ten times the capacity in distinct triples. A generation of a stripe
+	// is memoStripeGen entries, so checking the hot triple again every
+	// quarter of a whole generation keeps it at most one rotation old.
+	var msg [8]byte
+	for i := 0; i < 10*MemoCap; i++ {
+		binary.BigEndian.PutUint64(msg[:], uint64(i))
+		if err := m.Verify(ver, 2, msg[:], nil); err != nil {
+			t.Fatal(err)
+		}
+		if i%(MemoCap/8) == 0 {
+			before := ver.calls
+			if err := m.Verify(ver, 1, hot, nil); err != nil {
+				t.Fatal(err)
+			}
+			if ver.calls != before {
+				t.Fatalf("hot triple verified again after %d distinct triples", i)
+			}
+		}
+		if n := m.Len(); n > MemoCap {
+			t.Fatalf("memo holds %d verdicts after %d distinct triples, cap %d", n, i+1, MemoCap)
+		}
+	}
+	if m.Len() < MemoCap/4 {
+		t.Fatalf("memo holds only %d verdicts after 10x its capacity", m.Len())
+	}
+	// What was not asked about again has aged out and is verified afresh.
+	binary.BigEndian.PutUint64(msg[:], 0)
+	if m.Seen(2, msg[:], nil) {
+		t.Fatal("the first of 10x capacity distinct triples is still memoized")
+	}
 }

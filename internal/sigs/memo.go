@@ -12,6 +12,14 @@ import (
 // two so the stripe index is a mask of the key hash.
 const memoStripes = 64
 
+// memoStripeGen bounds one generation of one stripe. Each stripe keeps
+// its current generation and the one before, so a memo never holds more
+// than MemoCap verdicts however long the process runs.
+const memoStripeGen = 256
+
+// MemoCap is the most verdicts a VerifyMemo holds.
+const MemoCap = 2 * memoStripes * memoStripeGen
+
 // VerifyMemo memoizes signature-verification verdicts keyed by the full
 // (signer, message, signature) triple. The protocol re-checks the same
 // seal signature on many paths — the gossip overlay when a seal
@@ -25,6 +33,12 @@ const memoStripes = 64
 // without re-deriving the rejection. The memo is lock-striped so
 // pipeline workers hitting the same hot seal do not serialize on one
 // mutex.
+//
+// The memo is bounded by two-generation rotation per stripe: a full
+// current generation becomes the previous one and the one before that is
+// dropped. A verdict found in the previous generation is carried into the
+// current one, so whatever keeps being asked about keeps hitting, and
+// whatever a window advance left behind ages out after two generations.
 type VerifyMemo struct {
 	stripes [memoStripes]memoStripe
 	hits    atomic.Uint64
@@ -32,17 +46,35 @@ type VerifyMemo struct {
 }
 
 type memoStripe struct {
-	mu sync.RWMutex
-	m  map[[sha256.Size]byte]error
+	mu        sync.RWMutex
+	cur, prev map[[sha256.Size]byte]error
 }
 
 // NewVerifyMemo returns an empty memo.
-func NewVerifyMemo() *VerifyMemo {
-	m := &VerifyMemo{}
-	for i := range m.stripes {
-		m.stripes[i].m = make(map[[sha256.Size]byte]error)
+func NewVerifyMemo() *VerifyMemo { return &VerifyMemo{} }
+
+// lookup reports the cached verdict for k and whether it sits in the
+// current generation (a previous-generation hit still needs carrying over).
+func (s *memoStripe) lookup(k [sha256.Size]byte) (err error, ok, current bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if err, ok = s.cur[k]; ok {
+		return err, true, true
 	}
-	return m
+	err, ok = s.prev[k]
+	return err, ok, false
+}
+
+func (s *memoStripe) store(k [sha256.Size]byte, err error) {
+	s.mu.Lock()
+	if s.cur == nil {
+		s.cur = make(map[[sha256.Size]byte]error)
+	}
+	s.cur[k] = err
+	if len(s.cur) >= memoStripeGen {
+		s.prev, s.cur = s.cur, nil
+	}
+	s.mu.Unlock()
 }
 
 func memoKey(asn aspath.ASN, msg, sig []byte) [sha256.Size]byte {
@@ -67,20 +99,27 @@ func memoKey(asn aspath.ASN, msg, sig []byte) [sha256.Size]byte {
 // Verify checks sig over msg by asn through the memo: a cached verdict
 // is returned without touching the verifier.
 func (m *VerifyMemo) Verify(ver Verifier, asn aspath.ASN, msg, sig []byte) error {
-	k := memoKey(asn, msg, sig)
-	s := &m.stripes[k[0]&(memoStripes-1)]
-	s.mu.RLock()
-	err, ok := s.m[k]
-	s.mu.RUnlock()
+	return m.Do(memoKey(asn, msg, sig), func() error { return ver.Verify(asn, msg, sig) })
+}
+
+// Do returns the verdict memoized under key, running check on a miss.
+// It is the memo's general form, for verdicts other than one signature
+// (a zero-knowledge proof, say): key must be a collision-resistant digest
+// of everything check's outcome depends on, under a domain tag of the
+// caller's own.
+func (m *VerifyMemo) Do(key [sha256.Size]byte, check func() error) error {
+	s := &m.stripes[key[0]&(memoStripes-1)]
+	err, ok, current := s.lookup(key)
 	if ok {
 		m.hits.Add(1)
-		return err
+		if current {
+			return err
+		}
+	} else {
+		err = check()
+		m.misses.Add(1)
 	}
-	err = ver.Verify(asn, msg, sig)
-	m.misses.Add(1)
-	s.mu.Lock()
-	s.m[k] = err
-	s.mu.Unlock()
+	s.store(key, err)
 	return err
 }
 
@@ -111,10 +150,7 @@ func (v memoVerifier) Verify(asn aspath.ASN, msg, sig []byte) error {
 // without computing one.
 func (m *VerifyMemo) Seen(asn aspath.ASN, msg, sig []byte) bool {
 	k := memoKey(asn, msg, sig)
-	s := &m.stripes[k[0]&(memoStripes-1)]
-	s.mu.RLock()
-	_, ok := s.m[k]
-	s.mu.RUnlock()
+	_, ok, _ := m.stripes[k[0]&(memoStripes-1)].lookup(k)
 	return ok
 }
 
@@ -124,13 +160,14 @@ func (m *VerifyMemo) Hits() uint64 { return m.hits.Load() }
 // Misses returns how many checks had to run the verifier.
 func (m *VerifyMemo) Misses() uint64 { return m.misses.Load() }
 
-// Len returns the number of cached verdicts.
+// Len returns the number of cached verdicts, at most MemoCap.
 func (m *VerifyMemo) Len() int {
 	n := 0
 	for i := range m.stripes {
-		m.stripes[i].mu.RLock()
-		n += len(m.stripes[i].m)
-		m.stripes[i].mu.RUnlock()
+		s := &m.stripes[i]
+		s.mu.RLock()
+		n += len(s.cur) + len(s.prev)
+		s.mu.RUnlock()
 	}
 	return n
 }

@@ -87,8 +87,9 @@ type Participant struct {
 	discServer *discplane.Server
 
 	// lifeCtx spans Open to Close: sessions run under it via
-	// bgp.Session.RunContext and gossip responders via
-	// Auditor.RespondContext, so cancelling it is what tears the
+	// bgp.Session.RunContext, gossip responders via
+	// Auditor.RespondContext and disclosure sessions via
+	// discplane.Server.Serve, so cancelling it is what tears the
 	// participant's blocking I/O down.
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
@@ -110,13 +111,20 @@ type Participant struct {
 	sessionsOpened *obs.Counter
 	queriesSent    *obs.Counter
 
-	// discSealMemo amortizes seal-signature checks across this
-	// participant's disclosure queries, BGP-carried seal verification, and
-	// the gossip observe path (Pipeline.ShareSealMemo). Only checks against
-	// the shared registry go through it — trust-on-first-use scratch
-	// registries must not seed it, since the memoized verdict is a function
-	// of (seal bytes, signature, key set).
-	discSealMemo *sigs.VerifyMemo
+	// verdicts memoizes verification verdicts across this participant's
+	// disclosure queries, BGP-carried seal verification, the gossip observe
+	// path and auditor-proof checks: every signature a fetched view
+	// carries, keyed on (signer, message, signature), and every
+	// zero-knowledge vector proof, keyed on what it proves. Bounded (two
+	// generations, sigs.MemoCap). Only checks against the participant's
+	// own registry go through it — trust-on-first-use scratch registries
+	// must not seed it, since a memoized signature verdict is a function
+	// of (message, signature, key set). memoVer is the registry behind it.
+	verdicts *sigs.VerifyMemo
+	memoVer  sigs.Verifier
+
+	// discPool keeps this participant's idle disclosure-query connections.
+	discPool discPool
 
 	mu      sync.Mutex
 	closers []func()
@@ -147,14 +155,14 @@ func Open(ctx context.Context, opts ...Option) (*Participant, error) {
 		return nil, errConfigf("open", "WithChurn requires WithOriginate")
 	}
 	p := &Participant{
-		cfg:          cfg,
-		asn:          cfg.asn,
-		signer:       cfg.signer,
-		reg:          cfg.registry,
-		transport:    cfg.transport,
-		pfxs:         append([]Prefix(nil), cfg.originate...),
-		sessions:     newSessionSet(),
-		discSealMemo: sigs.NewVerifyMemo(),
+		cfg:       cfg,
+		asn:       cfg.asn,
+		signer:    cfg.signer,
+		reg:       cfg.registry,
+		transport: cfg.transport,
+		pfxs:      append([]Prefix(nil), cfg.originate...),
+		sessions:  newSessionSet(),
+		verdicts:  sigs.NewVerifyMemo(),
 	}
 	p.lifeCtx, p.lifeCancel = context.WithCancel(context.Background())
 	p.initObs()
@@ -164,6 +172,7 @@ func Open(ctx context.Context, opts ...Option) (*Participant, error) {
 	if p.reg == nil {
 		p.reg = sigs.NewRegistry()
 	}
+	p.memoVer = p.verdicts.Bind(p.reg)
 	// A shared registry may already hold a key for this ASN (e.g. a
 	// Network node). Never overwrite it silently: signatures made under
 	// the displaced key would stop verifying network-wide, and the two
@@ -293,7 +302,7 @@ func (p *Participant) buildPriv() error {
 		p.ringKey = p.cfg.ringKey
 		dir.Register(p.asn, p.ringKey.Public())
 	}
-	priv, err := privplane.New(privplane.Config{Engine: p.eng, Dir: dir, Obs: p.obsReg})
+	priv, err := privplane.New(privplane.Config{Engine: p.eng, Dir: dir, Memo: p.verdicts, Obs: p.obsReg})
 	if err != nil {
 		return wrapErr("open", err)
 	}
@@ -304,12 +313,12 @@ func (p *Participant) buildPriv() error {
 // buildAuditor opens the ledger (replaying convictions) and seeds the
 // auditor with the participant's own shard seals.
 func (p *Participant) buildAuditor() error {
-	// The auditor verifies statements through the participant's shared
-	// seal memo: a seal statement checked on the gossip observe path is
-	// already settled when a disclosure query or a sealed BGP update
-	// presents the same seal, and vice versa.
+	// The auditor verifies statements through the participant's verdict
+	// memo: a seal statement checked on the gossip observe path is already
+	// settled when a disclosure query or a sealed BGP update presents the
+	// same seal, and vice versa.
 	cfg := auditnet.Config{
-		ASN: p.asn, Registry: p.discSealMemo.Bind(p.reg),
+		ASN: p.asn, Registry: p.memoVer,
 		Obs: p.obsReg, Tracer: p.tracer,
 	}
 	var (
@@ -460,12 +469,15 @@ func (p *Participant) onWindow(w updplane.WindowResult) {
 // bind starts the BGP and gossip listeners. The lifecycle closer is
 // registered first (so it runs last, after the listeners have stopped
 // accepting): cancelling lifeCtx makes every session's RunContext
-// watcher and every responder's RespondContext watcher tear its own
-// connection down, including ones admitted while teardown is in flight.
+// watcher, every gossip responder's RespondContext watcher and every
+// disclosure session's Serve tear their own connection down, including
+// ones admitted while teardown is in flight;
+// the idle disclosure connections this participant dialed close with it.
 func (p *Participant) bind() error {
 	p.addCloser(func() {
 		p.sessions.markClosed()
 		p.lifeCancel()
+		p.discPool.close()
 	})
 	if p.cfg.listen != "" {
 		lis, err := p.transport.Listen(p.cfg.listen, p.handleBGPConn)
@@ -522,11 +534,9 @@ func (p *Participant) bind() error {
 		p.discServer = srv
 		lis, err := p.transport.Listen(p.cfg.discloseListen, func(c Conn) {
 			defer c.Close()
-			for {
-				if err := srv.RespondContext(p.lifeCtx, c); err != nil {
-					return // peer hung up, protocol error, or participant closing
-				}
-			}
+			// One session per connection, until the peer hangs up, the
+			// listener guard refuses a frame, or the participant closes.
+			_ = srv.Serve(p.lifeCtx, c)
 		})
 		if err != nil {
 			return wrapErr("open", err)
@@ -709,6 +719,9 @@ func (p *Participant) updateFor(pfx Prefix) (bgp.Update, bool, error) {
 	if !sc.Seal.Trace.IsZero() {
 		u.Attachments["pvr/trace"] = sc.Seal.Trace.AppendWire(nil)
 	}
+	if sc.HasZK {
+		u.Attachments["pvr/zk"] = sc.ZKDigest[:]
+	}
 	return u, true, nil
 }
 
@@ -796,8 +809,17 @@ func (p *Participant) verifySealedRoute(peer aspath.ASN, r route.Route, u bgp.Up
 	// only on the shared-registry path. A trust-on-first-use scratch check
 	// is relative to the candidate key and must not seed the memo.
 	sc := engine.SealedCommitment{MC: mc, Proof: &proof, Seal: &seal}
+	// A prover sealing with WithZKDisclosure binds the prefix's Pedersen
+	// vector digest into the leaf; without it the leaf cannot be rebuilt.
+	if zk, ok := u.Attachments["pvr/zk"]; ok {
+		if len(zk) != len(sc.ZKDigest) {
+			return errKind(KindVerification, "verify", fmt.Errorf("ZK digest attachment of %d bytes", len(zk)))
+		}
+		copy(sc.ZKDigest[:], zk)
+		sc.HasZK = true
+	}
 	if pinned == nil {
-		err = sc.VerifyMemoized(ver, p.discSealMemo)
+		err = sc.VerifyMemoized(ver, p.verdicts)
 	} else {
 		err = sc.Verify(ver)
 	}

@@ -160,3 +160,68 @@ func TestPrivacyPlaneAnonymousAndAuditorQueries(t *testing.T) {
 		t.Fatalf("auditor query against a non-ZK prover: %v, want ErrNotFound", err)
 	}
 }
+
+// A prover sealing with WithZKDisclosure binds a Pedersen-vector digest
+// into every shard leaf. A BGP neighbour needs that digest to rebuild the
+// leaf, so the UPDATE must carry it: every route of the ZK-sealed table is
+// verified and none rejected, across the initial table and a re-seal.
+func TestZKSealingProverVerifiesOverBGP(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	tr := pvr.NewMemTransport()
+	reg := pvr.NewRegistry()
+	pfxs := []pvr.Prefix{
+		pvr.MustParsePrefix("203.0.113.0/24"),
+		pvr.MustParsePrefix("198.51.100.0/24"),
+		pvr.MustParsePrefix("192.0.2.0/24"),
+	}
+	a, err := pvr.Open(ctx,
+		pvr.WithASN(64500), pvr.WithTransport(tr), pvr.WithRegistry(reg),
+		pvr.WithZKDisclosure(), pvr.WithMaxLen(8), pvr.WithOriginate(pfxs...), pvr.WithShards(2),
+		pvr.WithWindow(0), pvr.WithHoldTime(0), pvr.WithListen("zk-bgp-a"), pvr.WithPromisees(64502),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := pvr.Open(ctx,
+		pvr.WithASN(64502), pvr.WithTransport(tr), pvr.WithRegistry(reg),
+		pvr.WithPeers("zk-bgp-a"), pvr.WithHoldTime(0),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	waitFor(t, "the promisee to verify the ZK-sealed table", func() bool {
+		st := b.Stats()
+		return st.RoutesVerified+st.RoutesRejected >= uint64(len(pfxs))
+	})
+
+	// A provider's input dirties one prefix; the re-sealed route is
+	// re-advertised under the new window's seal, digest and all.
+	provider, err := pvr.Open(ctx, pvr.WithASN(64501), pvr.WithTransport(tr), pvr.WithRegistry(reg), pvr.WithHoldTime(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer provider.Close()
+	ann, err := provider.Announce(a.ASN(), 1, pvr.Route{
+		Prefix: pfxs[0], Path: pvr.NewPath(provider.ASN(), 65010, 65011), NextHop: netip.MustParseAddr("192.0.2.7"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Submit(ctx, pvr.AnnounceEvent(provider.ASN(), ann)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the promisee to verify the re-sealed route", func() bool {
+		st := b.Stats()
+		return st.RoutesVerified+st.RoutesRejected >= uint64(len(pfxs))+1
+	})
+	if st := b.Stats(); st.RoutesRejected != 0 || st.RoutesVerified != uint64(len(pfxs))+1 {
+		t.Fatalf("promisee verified %d and rejected %d routes of a ZK-sealing prover, want %d and 0",
+			st.RoutesVerified, st.RoutesRejected, len(pfxs)+1)
+	}
+}

@@ -23,6 +23,11 @@
 //     (prefix, epoch) over the wire — providers, the promisee, and third
 //     parties each granted exactly their entitlement, denials typed as
 //     ErrAccessDenied (Participant.QueryDisclosure, WithDiscloseListen).
+//     A participant's queries to one peer ride disclosure sessions: a few
+//     kept connections, each authenticated by the first signed query on
+//     it, with verification verdicts memoized across queries; anonymous
+//     queries each dial a connection of their own (README, "Disclosure
+//     sessions").
 //   - Simulation drivers (RunFig1, RunConvergence, RunEngineEpoch,
 //     RunGossip, RunChurn) used by the examples and the experiment
 //     harness.

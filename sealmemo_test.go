@@ -1,11 +1,12 @@
 package pvr
 
-// White-box test of the participant's shared seal memo: one VerifyMemo
-// spans the gossip observe path (the auditor verifies statements through
-// it), BGP-carried seal checks, and the disclosure query plane. A seal
-// whose signature was settled when it arrived via gossip must NOT be
-// re-verified when a later disclosure query fetches the same seal — the
-// whole point of sharing the memo across planes.
+// White-box test of the participant's verdict memo: one VerifyMemo spans
+// the gossip observe path (the auditor verifies statements through it),
+// BGP-carried seal checks, and the disclosure query plane. A seal whose
+// signature was settled when it arrived via gossip must NOT be re-verified
+// when a later disclosure query fetches the same seal — the whole point of
+// sharing the memo across planes — and a view fetched a second time must
+// cost no signature verification at all.
 
 import (
 	"context"
@@ -62,18 +63,19 @@ func TestGossipVerifiedSealNotReverifiedOnQuery(t *testing.T) {
 	if err != nil || conflict != nil || !added {
 		t.Fatalf("gossip ingest: added=%v conflict=%v err=%v", added, conflict, err)
 	}
-	if !b.discSealMemo.Seen(st.Origin, st.Payload, st.Sig) {
+	if !b.verdicts.Seen(st.Origin, st.Payload, st.Sig) {
 		t.Fatal("gossip-verified seal statement is not in the shared memo")
 	}
-	missesAfterGossip := b.discSealMemo.Misses()
+	missesAfterGossip := b.verdicts.Misses()
 	if missesAfterGossip == 0 {
 		t.Fatal("gossip ingest bypassed the shared memo entirely")
 	}
 
 	// The disclosure query fetches the very seal gossip already settled:
-	// the pipeline's seal check and the observe-statement check must both
-	// be memo hits — zero new signature derivations for this seal.
-	hitsBefore := b.discSealMemo.Hits()
+	// the view's seal check and the observe-statement check must both be
+	// memo hits. The only signatures new to B are the two statements a
+	// promisee view carries: the winning announcement and the export.
+	hitsBefore := b.verdicts.Hits()
 	d, err := b.RequestDisclosure(ctx, a.DiscloseAddr(), pfx, 1)
 	if err != nil {
 		t.Fatalf("promisee query: %v", err)
@@ -81,10 +83,17 @@ func TestGossipVerifiedSealNotReverifiedOnQuery(t *testing.T) {
 	if d.Promisee == nil {
 		t.Fatalf("promisee disclosure malformed: %+v", d)
 	}
-	if got := b.discSealMemo.Misses(); got != missesAfterGossip {
-		t.Fatalf("query re-verified a gossip-settled seal: misses %d -> %d", missesAfterGossip, got)
+	if got := b.verdicts.Misses(); got != missesAfterGossip+2 {
+		t.Fatalf("first view: misses %d -> %d, want +2 (winner and export; the seal is gossip-settled)", missesAfterGossip, got)
 	}
-	if b.discSealMemo.Hits() <= hitsBefore {
-		t.Fatal("query did not consult the shared seal memo")
+	if b.verdicts.Hits() <= hitsBefore {
+		t.Fatal("query did not consult the verdict memo")
+	}
+	// The same view again: every verdict is settled.
+	if _, err := b.RequestDisclosure(ctx, a.DiscloseAddr(), pfx, 1); err != nil {
+		t.Fatalf("repeat promisee query: %v", err)
+	}
+	if got := b.verdicts.Misses(); got != missesAfterGossip+2 {
+		t.Fatalf("repeat view verified a signature again: misses %d -> %d", missesAfterGossip+2, got)
 	}
 }

@@ -208,14 +208,9 @@ func BenchmarkZKPMonotone(b *testing.B) {
 			for i := k / 2; i < k; i++ {
 				bits[i] = true
 			}
-			cs := make([]zkp.Commitment, k)
-			os := make([]zkp.Opening, k)
-			for i, bit := range bits {
-				c, o, err := zkp.Commit(bit)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cs[i], os[i] = c, o
+			cs, os, err := zkp.CommitBits(bits)
+			if err != nil {
+				b.Fatal(err)
 			}
 			ctx := []byte("bench")
 			b.ResetTimer()

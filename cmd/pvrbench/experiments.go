@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pvr/internal/aspath"
+	"pvr/internal/commit"
 	"pvr/internal/core"
 	"pvr/internal/engine"
 	"pvr/internal/merkle"
@@ -260,27 +261,23 @@ func runSMC(seed int64) error {
 	return nil
 }
 
-// E4 — ZKP strawman scaling in policy size.
+// E4 — ZKP strawman scaling in policy size, against what PVR does
+// instead: open the K hash commitments and check each one.
 func runZKP(seed int64) error {
 	header("E4 (§3.1)", "ZKP strawman: monotone-vector proof vs vector length")
-	fmt.Printf("%6s %12s %12s %12s %14s\n", "K", "prove", "verify", "proof bytes", "PVR openings")
+	fmt.Printf("%6s %12s %12s %12s %14s %12s %10s\n", "K", "prove", "verify", "proof bytes", "PVR openings", "PVR verify", "zk/PVR")
 	for _, k := range []int{8, 16, 32, 64} {
 		bits := make([]bool, k)
 		for i := k / 2; i < k; i++ {
 			bits[i] = true
 		}
-		cs := make([]zkp.Commitment, k)
-		os := make([]zkp.Opening, k)
-		for i, b := range bits {
-			c, o, err := zkp.Commit(b)
-			if err != nil {
-				return err
-			}
-			cs[i], os[i] = c, o
+		cs, os, err := zkp.CommitBits(bits)
+		if err != nil {
+			return err
 		}
 		ctx := []byte("pvrbench")
 		var mp *zkp.MonotoneProof
-		proveD, err := timeIt(3, func() error {
+		proveD, err := timeIt(20, func() error {
 			var err error
 			mp, err = zkp.ProveMonotone(cs, os, k/2+1, ctx)
 			return err
@@ -288,16 +285,32 @@ func runZKP(seed int64) error {
 		if err != nil {
 			return err
 		}
-		verifyD, err := timeIt(3, func() error {
+		verifyD, err := timeIt(20, func() error {
 			return zkp.VerifyMonotone(cs, mp, ctx)
 		})
 		if err != nil {
 			return err
 		}
-		// PVR reveals K openings (~72 bytes each) instead.
-		fmt.Printf("%6d %12s %12s %12d %14d\n",
-			k, proveD.Round(time.Millisecond), verifyD.Round(time.Millisecond),
-			mp.Size(), k*72)
+		// PVR reveals K openings (~72 bytes each) instead, one hash each.
+		bv, err := new(commit.Committer).CommitBitVector("e4", bits)
+		if err != nil {
+			return err
+		}
+		opened := bv.OpenAll()
+		pvrD, err := timeIt(200, func() error {
+			for i, o := range opened {
+				if err := commit.Verify(bv.Commitments[i], o); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%6d %12s %12s %12d %14d %12s %9.0fx\n",
+			k, proveD.Round(10*time.Microsecond), verifyD.Round(10*time.Microsecond),
+			mp.Size(), k*72, pvrD.Round(100*time.Nanosecond), float64(verifyD)/float64(pvrD))
 	}
 	return nil
 }

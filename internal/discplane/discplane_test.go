@@ -2,8 +2,10 @@ package discplane
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 
@@ -517,5 +519,34 @@ func TestDecodeRejectsTruncationsWithoutPanic(t *testing.T) {
 		if rerr != nil || !bytes.Equal(re, qe[:i]) {
 			t.Fatalf("query truncation to %d bytes decoded non-canonically", i)
 		}
+	}
+}
+
+// TestNonceSetGenerations: a nonce stays refused while fewer than
+// nonceGeneration others have arrived since, and is forgotten after two
+// generations' worth.
+func TestNonceSetGenerations(t *testing.T) {
+	var s nonceSet
+	nonce := func(i int) (n [NonceSize]byte) {
+		binary.BigEndian.PutUint64(n[:8], uint64(i))
+		binary.BigEndian.PutUint64(n[8:], uint64(i)*0x9E3779B97F4A7C15)
+		return n
+	}
+	for i := 0; i < 3*nonceGeneration; i++ {
+		if s.seen(nonce(i)) {
+			t.Fatalf("fresh nonce %d reported as seen", i)
+		}
+		if !s.seen(nonce(i)) {
+			t.Fatalf("nonce %d not remembered", i)
+		}
+		if back := i - nonceGeneration + 1; back >= 0 && !s.seen(nonce(back)) {
+			t.Fatalf("nonce %d forgotten within one generation", back)
+		}
+	}
+	if s.seen(nonce(0)) {
+		t.Fatal("a nonce three generations old is still remembered")
+	}
+	if len(s.cur)+len(s.prev) > 2*nonceGeneration || !slices.IsSortedFunc(s.prev, nonceKey.compare) {
+		t.Fatalf("the set holds %d entries, more than two generations", len(s.cur)+len(s.prev))
 	}
 }

@@ -1,9 +1,11 @@
 package discplane
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,29 +98,53 @@ type Server struct {
 // nonceGeneration bounds one generation of the replay-defense nonce set.
 const nonceGeneration = 1 << 15
 
+// nonceKey is a nonce folded to 56 bits, random half onto stamp half
+// (less the stamp's top byte, which the wall clock changes every few
+// years). A replay folds to the key its original left, so folding never
+// lets one through; it can only refuse a fresh nonce that collides with
+// a remembered one, and the random half makes that a 2⁻⁵⁶ event per
+// remembered entry that nobody can aim at a nonce they have not seen.
+// Seven bytes because a map slot holding them takes eight, half of what
+// a slot for eight takes.
+type nonceKey [7]byte
+
+// nonceSet remembers two generations: the current one in a map, grown on
+// demand (on a session only the first query carries a nonce, so it is
+// rarely anywhere near full), the one before it sorted in a slice, a
+// third of the map's size.
 type nonceSet struct {
-	mu        sync.Mutex
-	cur, prev map[[NonceSize]byte]struct{}
+	mu   sync.Mutex
+	cur  map[nonceKey]struct{}
+	prev []nonceKey
 }
 
-// seen records n and reports whether it was already present.
-func (s *nonceSet) seen(n [NonceSize]byte) bool {
+func (a nonceKey) compare(b nonceKey) int { return bytes.Compare(a[:], b[:]) }
+
+// seen records nonce and reports whether it was already present.
+func (s *nonceSet) seen(nonce [NonceSize]byte) bool {
+	var n nonceKey
+	for i := range n {
+		n[i] = nonce[1+i] ^ nonce[9+i]
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.cur[n]; ok {
 		return true
 	}
-	if _, ok := s.prev[n]; ok {
+	if _, ok := slices.BinarySearchFunc(s.prev, n, nonceKey.compare); ok {
 		return true
 	}
 	if s.cur == nil {
-		// Grown on demand: on a session only the first query carries a
-		// nonce, so a generation is rarely anywhere near full.
-		s.cur = make(map[[NonceSize]byte]struct{})
+		s.cur = make(map[nonceKey]struct{})
 	}
 	s.cur[n] = struct{}{}
 	if len(s.cur) >= nonceGeneration {
-		s.prev, s.cur = s.cur, nil
+		s.prev = s.prev[:0]
+		for k := range s.cur {
+			s.prev = append(s.prev, k)
+		}
+		slices.SortFunc(s.prev, nonceKey.compare)
+		s.cur = nil
 	}
 	return false
 }

@@ -1,23 +1,28 @@
-// Package ed25519batch implements batch verification of Ed25519
-// signatures from first principles: radix-51 field arithmetic over
-// GF(2^255-19), extended twisted-Edwards points, and a variable-time
-// Pippenger multi-scalar multiplication evaluating the cofactored batch
-// equation
+// Package group is the repo's one elliptic-curve substrate, from first
+// principles: radix-51 field arithmetic over GF(2^255-19), extended
+// twisted-Edwards points on edwards25519, a Pippenger multi-scalar
+// multiplication, and fixed-base tables. Two callers, two codecs on the
+// same Point:
 //
-//	[8]( [Σ zᵢsᵢ]B − Σ [zᵢ]Rᵢ − Σ [zᵢhᵢ]Aᵢ ) == O
+//   - Ed25519 batch verification (internal/sigs/ed25519batch) decodes
+//     RFC 8032 compressed points with SetBytes. Those may carry
+//     small-order components; that caller clears the cofactor itself.
+//   - The zero-knowledge plane (internal/zkp) uses ristretto255
+//     (RFC 9496): Decode accepts exactly one 32-byte string per element
+//     of a prime-order group and Equal compares elements, so Points that
+//     came from Decode, Base or HashToPoint, and their sums and
+//     multiples, have no torsion for a proof to hide in.
 //
-// with independent random 128-bit blinders zᵢ. Amortized across a batch
-// the multi-scalar multiplication costs a small constant number of point
-// additions per signature, versus a full double-scalar multiplication
-// for an individual verification — this is what makes §3.8-style bulk
-// verification of receipts, exports, and seals cheap.
-//
-// Everything here is verification of public data, so the arithmetic is
-// deliberately variable-time; do not reuse it for signing or key
-// operations.
-package ed25519batch
+// The arithmetic is variable-time. Verification handles public data
+// only; the zkp prover multiplies fixed bases by secrets with a
+// scalar-independent operation count, but is not hardened against
+// cache-timing observers on the same host.
+package group
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // fe is a field element of GF(2^255-19) in unsaturated radix-2^51
 // representation: v = l0 + l1·2^51 + l2·2^102 + l3·2^153 + l4·2^204.
@@ -36,11 +41,11 @@ var (
 // top bit of b[31] is ignored (callers strip the sign bit first). It
 // returns false when the value is ≥ 2^255-19, i.e. non-canonical.
 func (v *fe) setBytes(b *[32]byte) bool {
-	v[0] = le64(b[0:8]) & maskLow51
-	v[1] = (le64(b[6:14]) >> 3) & maskLow51
-	v[2] = (le64(b[12:20]) >> 6) & maskLow51
-	v[3] = (le64(b[19:27]) >> 1) & maskLow51
-	v[4] = (le64(b[24:32]) >> 12) & maskLow51 // 256th bit dropped
+	v[0] = binary.LittleEndian.Uint64(b[0:8]) & maskLow51
+	v[1] = (binary.LittleEndian.Uint64(b[6:14]) >> 3) & maskLow51
+	v[2] = (binary.LittleEndian.Uint64(b[12:20]) >> 6) & maskLow51
+	v[3] = (binary.LittleEndian.Uint64(b[19:27]) >> 1) & maskLow51
+	v[4] = (binary.LittleEndian.Uint64(b[24:32]) >> 12) & maskLow51 // 256th bit dropped
 	// Canonical iff v < p = 2^255-19.
 	if v[4] == maskLow51 && v[3] == maskLow51 && v[2] == maskLow51 &&
 		v[1] == maskLow51 && v[0] >= maskLow51-18 {
@@ -49,42 +54,17 @@ func (v *fe) setBytes(b *[32]byte) bool {
 	return true
 }
 
-func le64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// bytes returns the canonical 32-byte little-endian encoding.
+// bytes returns the canonical 32-byte little-endian encoding: the five
+// reduced 51-bit limbs packed into four words.
 func (v *fe) bytes() [32]byte {
 	t := *v
 	t.reduce()
 	var out [32]byte
-	var buf [8]byte
-	for i, l := range t {
-		bitsOff := uint(51 * i)
-		byteOff := bitsOff / 8
-		shift := bitsOff % 8
-		putLE64(buf[:], l<<shift)
-		for j := 0; j < 8; j++ {
-			if int(byteOff)+j < 32 {
-				out[byteOff+uint(j)] |= buf[j]
-			}
-		}
-	}
+	binary.LittleEndian.PutUint64(out[0:], t[0]|t[1]<<51)
+	binary.LittleEndian.PutUint64(out[8:], t[1]>>13|t[2]<<38)
+	binary.LittleEndian.PutUint64(out[16:], t[2]>>26|t[3]<<25)
+	binary.LittleEndian.PutUint64(out[24:], t[3]>>39|t[4]<<12)
 	return out
-}
-
-func putLE64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }
 
 // reduce brings v to its canonical representative in [0, p).

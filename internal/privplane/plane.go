@@ -1,7 +1,6 @@
 package privplane
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -49,14 +48,23 @@ type Config struct {
 
 // Plane is the privacy plane of one participant: ring-signature signing
 // and checking, and zero-knowledge vector proofs over the engine's sealed
-// Pedersen vectors, with the proof cached per (prefix, epoch, window).
+// Pedersen vectors, with the proof built once per (prefix, epoch, window).
 // Safe for concurrent use.
 type Plane struct {
 	cfg Config
 	met *privMetrics
 
 	mu     sync.Mutex
-	proofs map[string]*VectorView
+	window [2]uint64 // the (epoch, window) the cached proofs belong to
+	proofs map[prefix.Prefix]*proofEntry
+}
+
+// proofEntry is one cached proof; once makes concurrent first askers
+// share a single build.
+type proofEntry struct {
+	once sync.Once
+	vv   *VectorView
+	err  error
 }
 
 // VectorView is the auditor-facing ZK material for one sealed prefix: the
@@ -76,7 +84,7 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.MinRing < 2 {
 		cfg.MinRing = 2
 	}
-	return &Plane{cfg: cfg, met: newPrivMetrics(cfg.Obs), proofs: make(map[string]*VectorView)}, nil
+	return &Plane{cfg: cfg, met: newPrivMetrics(cfg.Obs), proofs: make(map[prefix.Prefix]*proofEntry)}, nil
 }
 
 // Dir returns the plane's ring-key directory.
@@ -155,8 +163,8 @@ func (p *Plane) NoteAttributed() { p.met.attrQueries.Inc() }
 // VectorView returns (building and caching on first use) the auditor view
 // for pfx under the engine's current seal, plus the sealed commitment it
 // verifies against. The proof is bound to the seal via VectorCtx, so the
-// cache key is (epoch, window, prefix) and a re-seal invalidates by
-// changing keys; stale windows are dropped wholesale at transitions.
+// cache key is (epoch, window, prefix): a re-seal invalidates everything,
+// and concurrent first askers of one key share a single build.
 func (p *Plane) VectorView(pfx prefix.Prefix) (*VectorView, *engine.SealedCommitment, error) {
 	if p.cfg.Engine == nil {
 		return nil, nil, fmt.Errorf("privplane: no engine to build vector proofs from")
@@ -165,36 +173,41 @@ func (p *Plane) VectorView(pfx prefix.Prefix) (*VectorView, *engine.SealedCommit
 	if err != nil {
 		return nil, nil, err
 	}
-	key := fmt.Sprintf("%d/%d/%s", sc.Seal.Epoch, sc.Seal.Window, pfx)
+	window := [2]uint64{sc.Seal.Epoch, sc.Seal.Window}
 	p.mu.Lock()
-	vv, ok := p.proofs[key]
+	if p.window != window {
+		// A re-seal strands every cached proof; drop them wholesale.
+		p.window, p.proofs = window, make(map[prefix.Prefix]*proofEntry)
+	}
+	ent, ok := p.proofs[pfx]
+	if !ok {
+		ent = new(proofEntry)
+		p.proofs[pfx] = ent
+	}
 	p.mu.Unlock()
 	if ok {
 		p.met.proofHits.Inc()
-		return vv, sc, nil
 	}
-	t0 := time.Now()
-	vp, err := zkp.ProveVector(cs, os, VectorCtx(sc))
-	if err != nil {
-		return nil, nil, err
-	}
-	p.met.proofGenSec.ObserveSince(t0)
-	p.met.proofsBuilt.Inc()
-	vv = &VectorView{Commitments: cs, Proof: vp}
-	p.mu.Lock()
-	// Window transitions strand old keys; sweep them when the map grows
-	// past the live prefix set (cheap: proofs dominate the cost).
-	if len(p.proofs) > 0 {
-		pre := fmt.Sprintf("%d/%d/", sc.Seal.Epoch, sc.Seal.Window)
-		for k := range p.proofs {
-			if len(k) < len(pre) || k[:len(pre)] != pre {
-				delete(p.proofs, k)
-			}
+	ent.once.Do(func() {
+		t0 := time.Now()
+		ctx, err := VectorCtx(sc)
+		if err != nil {
+			ent.err = err
+			return
 		}
+		vp, err := zkp.ProveVector(cs, os, ctx)
+		if err != nil {
+			ent.err = err
+			return
+		}
+		p.met.proofGenSec.ObserveSince(t0)
+		p.met.proofsBuilt.Inc()
+		ent.vv = &VectorView{Commitments: cs, Proof: vp}
+	})
+	if ent.err != nil {
+		return nil, nil, ent.err
 	}
-	p.proofs[key] = vv
-	p.mu.Unlock()
-	return vv, sc, nil
+	return ent.vv, sc, nil
 }
 
 // VerifyAuditorProof is the third party's check of a ZK opening: the
@@ -216,9 +229,11 @@ func (p *Plane) VerifyAuditorProof(sc *engine.SealedCommitment, vv *VectorView) 
 		return fmt.Errorf("privplane: commitment vector does not match the sealed digest")
 	}
 	t0 := time.Now()
-	ctx := VectorCtx(sc)
+	ctx, err := VectorCtx(sc)
+	if err != nil {
+		return err
+	}
 	verify := func() error { return zkp.VerifyVector(vv.Commitments, vv.Proof, ctx) }
-	var err error
 	if p.cfg.Memo == nil {
 		err = verify()
 	} else {
@@ -248,20 +263,15 @@ func (p *Plane) VerifyAuditorProof(sc *engine.SealedCommitment, vv *VectorView) 
 // VectorCtx derives the Fiat–Shamir context a vector proof is bound to:
 // the prover, epoch, window, prefix, and shard root of the seal being
 // opened. A proof transplanted onto any other sealed commitment fails.
-func VectorCtx(sc *engine.SealedCommitment) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(vectorCtxTag)
-	var u8 [8]byte
-	binary.BigEndian.PutUint32(u8[:4], uint32(sc.MC.Prover))
-	buf.Write(u8[:4])
-	binary.BigEndian.PutUint64(u8[:], sc.MC.Epoch)
-	buf.Write(u8[:])
-	binary.BigEndian.PutUint64(u8[:], sc.Seal.Window)
-	buf.Write(u8[:])
-	if pb, err := sc.MC.Prefix.MarshalBinary(); err == nil {
-		buf.WriteByte(byte(len(pb)))
-		buf.Write(pb)
+func VectorCtx(sc *engine.SealedCommitment) ([]byte, error) {
+	pb, err := sc.MC.Prefix.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("privplane: vector context: %w", err)
 	}
-	buf.Write(sc.Seal.Root[:])
-	return buf.Bytes()
+	buf := append(make([]byte, 0, len(vectorCtxTag)+21+len(pb)+len(sc.Seal.Root)), vectorCtxTag...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(sc.MC.Prover))
+	buf = binary.BigEndian.AppendUint64(buf, sc.MC.Epoch)
+	buf = binary.BigEndian.AppendUint64(buf, sc.Seal.Window)
+	buf = append(append(buf, byte(len(pb))), pb...)
+	return append(buf, sc.Seal.Root[:]...), nil
 }

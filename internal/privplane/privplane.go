@@ -14,10 +14,13 @@
 //
 //   - Zero-knowledge third-party openings. When the engine seals with
 //     Config.ZKBind, each shard leaf also binds a Pedersen commitment
-//     vector over the committed bits (internal/zkp). The plane builds
-//     and caches Σ-protocol proofs that the sealed vector is well-formed
-//     and monotone — "the promise holds" — which an auditor verifies
-//     against the gossiped seal without any bit being opened.
+//     vector over the committed bits (internal/zkp, over ristretto255).
+//     The plane builds Σ-protocol proofs that the sealed vector is
+//     well-formed and monotone — "the promise holds" — on first request,
+//     once per (epoch, window, prefix) however many auditors ask at
+//     once, and an auditor verifies one against the gossiped seal
+//     without any bit being opened: a few milliseconds to build, a few
+//     to verify, a hash when the verdict is already in the memo.
 //
 //   - Ring key material. Ring signatures need RSA trapdoor permutations,
 //     which the Ed25519 signing identities (internal/sigs) cannot

@@ -3,6 +3,7 @@ package privplane
 import (
 	"bytes"
 	"net/netip"
+	"sync"
 	"testing"
 
 	"pvr/internal/aspath"
@@ -357,5 +358,49 @@ func TestAuditorProofVerdictMemo(t *testing.T) {
 	// And the honest verdict is still there.
 	if err := p.VerifyAuditorProof(sc, vv); err != nil || memo.Misses() != 3 {
 		t.Fatalf("original proof: %v, misses %d", err, memo.Misses())
+	}
+}
+
+// TestVectorViewSingleFlight: auditors asking for one (epoch, window,
+// prefix) at the same moment share one proof build and one view.
+func TestVectorViewSingleFlight(t *testing.T) {
+	e := newEnv(t, 3, 1)
+	p := e.plane(t)
+	const n = 8
+	start := make(chan struct{})
+	views := make([]*VectorView, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			views[i], _, errs[i] = p.VectorView(e.pfxs[0])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range views {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if views[i] == nil || views[i] != views[0] {
+			t.Fatalf("asker %d got its own view", i)
+		}
+	}
+	if built := p.met.proofsBuilt.Value(); built != 1 {
+		t.Fatalf("pvr_priv_proofs_built_total = %d after %d concurrent askers of one key, want 1", built, n)
+	}
+	if hits := p.met.proofHits.Value(); hits != n-1 {
+		t.Fatalf("pvr_priv_proof_cache_hits_total = %d, want %d", hits, n-1)
+	}
+}
+
+// TestVectorCtxNeedsAPrefix: a context that silently left the prefix out
+// would let one proof serve every prefix of a shard.
+func TestVectorCtxNeedsAPrefix(t *testing.T) {
+	if _, err := VectorCtx(&engine.SealedCommitment{MC: &core.MinCommitment{}, Seal: &engine.Seal{}}); err == nil {
+		t.Fatal("a context with no prefix in it was derived without error")
 	}
 }

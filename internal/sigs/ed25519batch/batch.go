@@ -1,3 +1,10 @@
+// Package ed25519batch verifies Ed25519 signatures in bulk on
+// internal/group's edwards25519 arithmetic: one variable-time Pippenger
+// multi-scalar multiplication evaluates the cofactored batch equation
+// (see Verify) for a small constant number of point additions per
+// signature, against a full double-scalar multiplication each when
+// checked alone — which is what makes §3.8-style bulk verification of
+// receipts, exports, and seals cheap.
 package ed25519batch
 
 import (
@@ -5,6 +12,8 @@ import (
 	"crypto/sha512"
 	"errors"
 	"math/big"
+
+	"pvr/internal/group"
 )
 
 // PublicKey is a parsed, decompressed Ed25519 verification key, cached
@@ -12,7 +21,7 @@ import (
 // decompression once.
 type PublicKey struct {
 	raw [32]byte
-	neg point // -A, the form the batch equation consumes
+	neg group.Point // -A, the form the batch equation consumes
 }
 
 // ParsePublicKey decompresses a 32-byte Ed25519 public key.
@@ -22,11 +31,11 @@ func ParsePublicKey(raw []byte) (*PublicKey, error) {
 	}
 	var pk PublicKey
 	copy(pk.raw[:], raw)
-	var a point
-	if !a.setBytes(raw) {
+	var a group.Point
+	if !a.SetBytes(raw) {
 		return nil, errors.New("ed25519batch: invalid public key point")
 	}
-	pk.neg.neg(&a)
+	pk.neg.Neg(&a)
 	return &pk, nil
 }
 
@@ -68,41 +77,41 @@ func Verify(items []Item) (bool, int) {
 		return false, -1
 	}
 
-	negR := make([]point, n)
+	negR := make([]group.Point, n)
 	zLimbs := make([][4]uint64, n)
 	sSum := new(big.Int)                     // Σ zᵢsᵢ mod l
 	perKey := make(map[[32]byte]*big.Int, 4) // key -> Σ zᵢhᵢ mod l
-	keyPts := make(map[[32]byte]*point, 4)
+	keyPts := make(map[[32]byte]*group.Point, 4)
 
 	tmp := new(big.Int)
 	for i, it := range items {
 		if it.Key == nil || len(it.Sig) != 64 {
 			return false, i
 		}
-		if !scalarIsCanonical(it.Sig[32:]) {
+		if !group.ScalarIsCanonical(it.Sig[32:]) {
 			return false, i
 		}
-		var r point
-		if !r.setBytes(it.Sig[:32]) {
+		var r group.Point
+		if !r.SetBytes(it.Sig[:32]) {
 			return false, i
 		}
-		negR[i].neg(&r)
+		negR[i].Neg(&r)
 
 		z := new(big.Int).SetBytes(zbuf[16*i : 16*i+16])
 		if z.Sign() == 0 {
 			z.SetInt64(1)
 		}
-		zLimbs[i] = scalarLimbs(z)
+		zLimbs[i] = group.Limbs(z)
 
 		// h = SHA512(R ‖ A ‖ M) mod l.
 		h := sha512.New()
 		h.Write(it.Sig[:32])
 		h.Write(it.Key.raw[:])
 		h.Write(it.Msg)
-		hi := scalarFromLE(h.Sum(nil))
-		hi.Mod(hi, order)
+		hi := group.ScalarFromLE(h.Sum(nil))
+		hi.Mod(hi, group.Order)
 
-		s := scalarFromLE(it.Sig[32:])
+		s := group.ScalarFromLE(it.Sig[32:])
 		sSum.Add(sSum, tmp.Mul(z, s))
 
 		agg, ok := perKey[it.Key.raw]
@@ -113,22 +122,22 @@ func Verify(items []Item) (bool, int) {
 		}
 		agg.Add(agg, tmp.Mul(z, hi))
 	}
-	sSum.Mod(sSum, order)
+	sSum.Mod(sSum, group.Order)
 
 	// P = [Σzs]B + Σ [z](-R) + Σ_keys [Σzh](-A)
-	var p, t point
-	p = msm128(negR, zLimbs)
-	scalarMult(&t, &basePt, sSum)
-	p.add(&p, &t)
+	var p, t group.Point
+	p = group.MSM128(negR, zLimbs)
+	group.ScalarMult(&t, &group.Base, sSum)
+	p.Add(&p, &t)
 	for kb, agg := range perKey {
-		agg.Mod(agg, order)
-		scalarMult(&t, keyPts[kb], agg)
-		p.add(&p, &t)
+		agg.Mod(agg, group.Order)
+		group.ScalarMult(&t, keyPts[kb], agg)
+		p.Add(&p, &t)
 	}
 
 	// Clear the cofactor and demand the identity.
-	p.double(&p)
-	p.double(&p)
-	p.double(&p)
-	return p.isIdentity(), -1
+	p.Double(&p)
+	p.Double(&p)
+	p.Double(&p)
+	return p.IsIdentity(), -1
 }

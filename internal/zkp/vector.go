@@ -1,27 +1,24 @@
-// Vector proofs: the privacy plane's third-party opening. Where
-// MonotoneProof (the §3.1 strawman baseline) publishes the minimum m and
-// pins it, VectorProof proves only *well-formedness* — every committed
-// position hides a bit and the vector is monotone non-decreasing — and
-// hides the minimum entirely. That is exactly what a third party is
-// entitled to under α: "the promise holds" (the committed vector is a
-// valid minimum-operator vector), and nothing about the routes behind it.
-//
-// The serialized forms here are canonical: every group element is encoded
-// fixed-width (ElemSize bytes, big-endian, left-padded), so decode∘encode
-// is the identity on valid encodings — the property the wire fuzzers pin.
+// Wire forms. Both are canonical — fixed-width fields, one valid string
+// per value — so decode∘encode is the identity on everything that
+// decodes, the property the wire fuzzers pin. The decoders check length
+// and range; whether an in-range string encodes a group element costs a
+// square root to decide, and the verifiers decide it before they
+// evaluate any equation (see the package comment).
 package zkp
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"math/big"
+
+	"pvr/internal/group"
 )
 
-// ElemSize is the fixed encoding width of one group element: the 2048-bit
-// modulus rounded to bytes.
-const ElemSize = 256
+// ElemSize is the encoding width of one group element or scalar.
+const ElemSize = 32
+
+// orSize is the width of one OR-proof: A₀, A₁, e₀, z₀, z₁.
+const orSize = 5 * ElemSize
 
 // MaxVectorLen bounds the number of commitments a serialized vector or
 // proof may carry, mirroring core.MaxVectorLen so a hostile length field
@@ -30,163 +27,59 @@ const MaxVectorLen = 1024
 
 // vectorDigestTag domain-separates the commitment-vector digest sealed
 // into engine leaves.
-const vectorDigestTag = "pvr/zkp/vector-digest/v1"
-
-// VectorProof proves in zero knowledge that a committed bit vector is
-// well-formed for the §3.3 minimum operator: each C_i hides a bit, and
-// the bits are monotone non-decreasing. Unlike MonotoneProof it reveals
-// nothing about where the first 1 is — the verifier learns only "this is
-// a valid promise vector".
-type VectorProof struct {
-	BitProofs  []*BitProof // b_i ∈ {0,1}
-	DiffProofs []*BitProof // b_{i+1} - b_i ∈ {0,1}
-}
-
-// ProveVector builds the well-formedness proof for committed bits with
-// openings. ctx binds the Fiat–Shamir challenges to the caller's context
-// (prover identity, prefix, epoch, seal root).
-func ProveVector(cs []Commitment, os []Opening, ctx []byte) (*VectorProof, error) {
-	if len(cs) != len(os) {
-		return nil, errors.New("zkp: commitment/opening length mismatch")
-	}
-	vp := &VectorProof{}
-	for i := range cs {
-		bp, err := proveDlogOr(cs[i], os[i], ctxFor(ctx, "vbit", i))
-		if err != nil {
-			return nil, err
-		}
-		vp.BitProofs = append(vp.BitProofs, bp)
-	}
-	for i := 0; i+1 < len(cs); i++ {
-		dc := Commitment{C: new(big.Int).Mod(
-			new(big.Int).Mul(cs[i+1].C, new(big.Int).ModInverse(cs[i].C, groupP)), groupP)}
-		do := Opening{
-			Bit: os[i+1].Bit != os[i].Bit,
-			R:   new(big.Int).Mod(new(big.Int).Sub(os[i+1].R, os[i].R), groupQ),
-		}
-		bp, err := proveDlogOr(dc, do, ctxFor(ctx, "vdiff", i))
-		if err != nil {
-			return nil, err
-		}
-		vp.DiffProofs = append(vp.DiffProofs, bp)
-	}
-	return vp, nil
-}
-
-// VerifyVector checks a well-formedness proof against the public
-// commitments under the same context the prover used.
-func VerifyVector(cs []Commitment, vp *VectorProof, ctx []byte) error {
-	if vp == nil || len(vp.BitProofs) != len(cs) || len(vp.DiffProofs) != max(0, len(cs)-1) {
-		return fmt.Errorf("%w: shape", ErrBadProof)
-	}
-	for i := range cs {
-		if err := verifyDlogOr(cs[i], vp.BitProofs[i], ctxFor(ctx, "vbit", i)); err != nil {
-			return fmt.Errorf("bit %d: %w", i+1, err)
-		}
-	}
-	for i := 0; i+1 < len(cs); i++ {
-		dc := Commitment{C: new(big.Int).Mod(
-			new(big.Int).Mul(cs[i+1].C, new(big.Int).ModInverse(cs[i].C, groupP)), groupP)}
-		if err := verifyDlogOr(dc, vp.DiffProofs[i], ctxFor(ctx, "vdiff", i)); err != nil {
-			return fmt.Errorf("diff %d: %w", i+1, err)
-		}
-	}
-	return nil
-}
+const vectorDigestTag = "pvr/zkp/vector-digest/v2"
 
 // Size returns the exact serialized size in bytes.
-func (vp *VectorProof) Size() int {
-	return 4 + 4 + (len(vp.BitProofs)+len(vp.DiffProofs))*6*ElemSize
-}
+func (vp *VectorProof) Size() int { return 4 + len(vp.enc) }
 
-// appendElem encodes x fixed-width; values are reduced mod p first so the
-// encoding of any in-group element fits and is unique.
-func appendElem(b []byte, x *big.Int) []byte {
-	var buf [ElemSize]byte
-	if x != nil {
-		new(big.Int).Mod(x, groupP).FillBytes(buf[:])
-	}
-	return append(b, buf[:]...)
-}
-
-func takeElem(b []byte) (*big.Int, []byte, error) {
-	if len(b) < ElemSize {
-		return nil, nil, errors.New("zkp: short element")
-	}
-	return new(big.Int).SetBytes(b[:ElemSize]), b[ElemSize:], nil
-}
-
-// MarshalBinary encodes the proof canonically: bit-proof count u32,
-// diff-proof count u32, then each proof's six elements fixed-width.
+// MarshalBinary encodes the proof canonically: the vector length K as a
+// u32, then the 2K−1 OR-proofs, bits before differences.
 func (vp *VectorProof) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, vp.Size())
-	out = binary.BigEndian.AppendUint32(out, uint32(len(vp.BitProofs)))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(vp.DiffProofs)))
-	for _, bp := range append(append([]*BitProof{}, vp.BitProofs...), vp.DiffProofs...) {
-		if bp == nil {
-			return nil, errors.New("zkp: nil bit proof")
-		}
-		for _, x := range []*big.Int{bp.A0, bp.A1, bp.E0, bp.E1, bp.Z0, bp.Z1} {
-			out = appendElem(out, x)
-		}
-	}
-	return out, nil
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, vp.Size()), uint32(vp.positions()))
+	return append(out, vp.enc...), nil
 }
 
 // UnmarshalBinary decodes MarshalBinary's encoding. It enforces the exact
-// length implied by the counts, so the encoding round-trips byte for byte.
+// length the count implies and range-checks every element and scalar,
+// so what it accepts round-trips byte for byte.
 func (vp *VectorProof) UnmarshalBinary(b []byte) error {
-	if len(b) < 8 {
+	if len(b) < 4 {
 		return errors.New("zkp: short proof")
 	}
-	nBits := int(binary.BigEndian.Uint32(b))
-	nDiffs := int(binary.BigEndian.Uint32(b[4:]))
-	b = b[8:]
-	if nBits > MaxVectorLen || nDiffs > MaxVectorLen || nDiffs != max(0, nBits-1) {
+	k := int(binary.BigEndian.Uint32(b))
+	b = b[4:]
+	if k > MaxVectorLen {
 		return errors.New("zkp: proof shape out of range")
 	}
-	if len(b) != (nBits+nDiffs)*6*ElemSize {
+	if len(b) != max(0, 2*k-1)*orSize {
 		return errors.New("zkp: proof length mismatch")
 	}
-	parse := func(n int) ([]*BitProof, error) {
-		out := make([]*BitProof, 0, n)
-		for i := 0; i < n; i++ {
-			bp := &BitProof{}
-			var err error
-			for _, dst := range []**big.Int{&bp.A0, &bp.A1, &bp.E0, &bp.E1, &bp.Z0, &bp.Z1} {
-				if *dst, b, err = takeElem(b); err != nil {
-					return nil, err
-				}
+	for off := 0; off < len(b); off += ElemSize {
+		field := b[off : off+ElemSize]
+		if off%orSize < 2*ElemSize {
+			if !group.InRange(field) {
+				return errors.New("zkp: proof carries a non-canonical group element")
 			}
-			out = append(out, bp)
+		} else if !group.ScalarIsCanonical(field) {
+			return errors.New("zkp: proof carries a non-canonical scalar")
 		}
-		return out, nil
 	}
-	bits, err := parse(nBits)
-	if err != nil {
-		return err
-	}
-	diffs, err := parse(nDiffs)
-	if err != nil {
-		return err
-	}
-	vp.BitProofs, vp.DiffProofs = bits, diffs
+	vp.enc = append([]byte(nil), b...)
 	return nil
 }
 
 // MarshalCommitments encodes a commitment vector canonically: count u32,
-// then each element fixed-width.
+// then each element's 32-byte encoding.
 func MarshalCommitments(cs []Commitment) []byte {
-	out := make([]byte, 0, 4+len(cs)*ElemSize)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(cs)))
-	for _, c := range cs {
-		out = appendElem(out, c.C)
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(cs)*ElemSize), uint32(len(cs)))
+	for i := range cs {
+		out = append(out, cs[i].enc[:]...)
 	}
 	return out
 }
 
 // UnmarshalCommitments decodes MarshalCommitments' encoding, enforcing the
-// exact length implied by the count.
+// exact length the count implies and the canonical range of each element.
 func UnmarshalCommitments(b []byte) ([]Commitment, error) {
 	if len(b) < 4 {
 		return nil, errors.New("zkp: short commitment vector")
@@ -199,14 +92,11 @@ func UnmarshalCommitments(b []byte) ([]Commitment, error) {
 	if len(b) != n*ElemSize {
 		return nil, errors.New("zkp: commitment vector length mismatch")
 	}
-	out := make([]Commitment, 0, n)
-	for i := 0; i < n; i++ {
-		var c *big.Int
-		var err error
-		if c, b, err = takeElem(b); err != nil {
-			return nil, err
+	out := make([]Commitment, n)
+	for i := range out {
+		if copy(out[i].enc[:], b[i*ElemSize:]); !group.InRange(out[i].enc[:]) {
+			return nil, errors.New("zkp: commitment is not a canonical group element encoding")
 		}
-		out = append(out, Commitment{C: c})
 	}
 	return out, nil
 }
@@ -223,18 +113,4 @@ func DigestCommitments(cs []Commitment) [sha256.Size]byte {
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
-}
-
-// CommitBits commits position-wise to a bit vector, returning the
-// commitments and openings the vector proofs consume.
-func CommitBits(bits []bool) ([]Commitment, []Opening, error) {
-	cs := make([]Commitment, len(bits))
-	os := make([]Opening, len(bits))
-	for i, b := range bits {
-		var err error
-		if cs[i], os[i], err = Commit(b); err != nil {
-			return nil, nil, err
-		}
-	}
-	return cs, os, nil
 }

@@ -1,66 +1,73 @@
-// Package zkp implements the paper's second strawman (§3.1): verifying the
-// minimum-operator promise with general zero-knowledge proofs instead of
-// PVR's selective openings. It is a real, sound construction — Pedersen
-// commitments over the RFC 3526 2048-bit MODP group with Fiat–Shamir
-// OR-composed Schnorr proofs (Cramer–Damgård–Schoenmakers) — proving that
-// a committed bit vector is (a) bits, (b) monotone, and (c) consistent
-// with a public minimum m, without opening anything.
+// Package zkp is the privacy plane's zero-knowledge layer: Pedersen
+// commitments to the bits of a §3.3 minimum-operator vector and
+// Σ-protocol proofs, under Fiat–Shamir, that a committed vector is
+// well-formed — every position hides a bit and the bits are monotone
+// non-decreasing — without opening anything.
 //
-// The point of the baseline is the cost curve: proof size and time grow
-// linearly in the vector length (the "policy complexity"), with ~six
-// 2048-bit exponentiations per position, versus PVR's openings at one
-// hash each. That is the paper's "scaling concerns as the complexity of
-// policy increases".
+// Group. Everything lives in ristretto255 (RFC 9496), the prime-order
+// group internal/group carries on edwards25519: G is its base point, H a
+// hash-derived generator of unknown discrete logarithm, and a commitment
+// to bit b is C = b·G + r·H. Elements and scalars travel, and are held,
+// as canonical 32-byte strings. The wire decoders refuse strings outside
+// the canonical range (field elements ≥ p or negative, scalars ≥ ℓ); the
+// verifiers decode every element before they evaluate anything, and
+// refuse the proof if one string is not the one encoding of a group
+// element. No other path leads from bytes to a point, and a decoded
+// element has prime order by construction: there is no cofactor to clear
+// and no small-order component that could satisfy an equation the honest
+// point would not. Keeping elements compressed until a verifier needs
+// them is what lets a memoized verdict (privplane) cost one hash.
+//
+// Proofs. Each position, and each difference C_{i+1} − C_i, carries a
+// Cramer–Damgård–Schoenmakers OR-proof that it commits to 0 or to 1: two
+// Schnorr transcripts for "X₀ = C is a multiple of H" and "X₁ = C − G
+// is", one real, one simulated, whose challenges sum to the transcript
+// hash. On the wire it is (A₀, A₁, e₀, z₀, z₁), 160 bytes;
+// e₁ = H(ctx, C₁…C_K, j, A₀, A₁) − e₀ is derived. The prover multiplies
+// no variable base: it knows how every statement, real or simulated,
+// decomposes over (G, H), so each A is a fixed-base combination.
+//
+// Verification. K positions yield 2·(2K−1) equations z·H = A + e·X. The
+// verifier draws an independent random 128-bit ρ per equation and checks
+//
+//	Σ ρ·(A + e·X − z·H) = O
+//
+// as one multi-scalar multiplication over {H, G, C₁…C_K, A…}; a false
+// equation survives with probability 2⁻¹²⁸. The weights are the
+// verifier's own: nothing the prover emits depends on them.
+//
+// This is still what §3.1 of the paper sets aside as a strawman — cost
+// linear in the vector length against PVR's one hash per opening, the
+// comparison experiment E4 keeps — affordable here because only third
+// parties entitled to nothing else ask for it.
 package zkp
 
 import (
 	"crypto/rand"
-	"crypto/sha256"
+	"crypto/sha512"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
+
+	"pvr/internal/group"
 )
 
-// The RFC 3526 group 14 prime p (2048-bit safe prime, p = 2q+1). g = 4
-// generates the order-q subgroup of quadratic residues; h is a second
-// generator derived by hashing into the group, with unknown discrete log
-// relative to g.
-const modp2048Hex = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-	"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
-	"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
-	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
-	"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
-
+// The two generators. Their fixed-base tables are built on the first
+// commitment or proof; a process that only verifies builds none.
 var (
-	groupP *big.Int // safe prime
-	groupQ *big.Int // (p-1)/2
-	genG   *big.Int
-	genH   *big.Int
+	genG     = &group.FixedBase{P: group.Base}
+	genH     = &group.FixedBase{P: group.HashToPoint("pvr/zkp/h-generator/v2")}
+	identity = *new(group.Point).SetIdentity()
 )
 
-func init() {
-	groupP, _ = new(big.Int).SetString(modp2048Hex, 16)
-	groupQ = new(big.Int).Rsh(new(big.Int).Sub(groupP, big.NewInt(1)), 1)
-	genG = big.NewInt(4) // 2² — a quadratic residue, generates the q-order subgroup
-	// h: hash-to-group with unknown dlog: h = (SHA-256 stream)² mod p.
-	seed := sha256.Sum256([]byte("pvr/zkp/h-generator/v1"))
-	x := new(big.Int).SetBytes(seed[:])
-	genH = new(big.Int).Exp(x, big.NewInt(2), groupP)
-}
+// Commitment is a Pedersen commitment b·G + r·H in its canonical
+// encoding. The zero value encodes the identity (a commitment to 0 with
+// r = 0). One that came off the wire is a string in canonical range;
+// that it names a group element is established by the verifier.
+type Commitment struct{ enc [ElemSize]byte }
 
-// Commitment is a Pedersen commitment g^b · h^r mod p.
-type Commitment struct {
-	C *big.Int
-}
-
-// Opening is the committed bit and blinding exponent.
+// Opening is the committed bit and blinding scalar.
 type Opening struct {
 	Bit bool
 	R   *big.Int
@@ -69,341 +76,382 @@ type Opening struct {
 // ErrBadProof is returned when verification fails.
 var ErrBadProof = errors.New("zkp: proof verification failed")
 
-// Commit commits to a bit.
-func Commit(bit bool) (Commitment, Opening, error) {
-	r, err := rand.Int(rand.Reader, groupQ)
-	if err != nil {
-		return Commitment{}, Opening{}, err
+func randScalar() (*big.Int, error) { return rand.Int(rand.Reader, group.Order) }
+
+// pedersen returns g·G + h·H from the fixed-base tables.
+func pedersen(g, h *big.Int) group.Point {
+	var p, q group.Point
+	genH.Mult(&p, h)
+	if g.Sign() != 0 {
+		p.Add(&p, genG.Mult(&q, g))
 	}
-	c := new(big.Int).Exp(genH, r, groupP)
-	if bit {
-		c.Mul(c, genG)
-		c.Mod(c, groupP)
-	}
-	return Commitment{C: c}, Opening{Bit: bit, R: r}, nil
+	return p
 }
 
-// Verify opens a commitment (used in tests; the ZK path never opens).
-func Verify(c Commitment, o Opening) bool {
-	want := new(big.Int).Exp(genH, o.R, groupP)
-	if o.Bit {
-		want.Mul(want, genG)
-		want.Mod(want, groupP)
+// CommitBits commits position-wise to a bit vector, returning the
+// commitments and openings the vector proofs consume.
+func CommitBits(bits []bool) ([]Commitment, []Opening, error) {
+	cs := make([]Commitment, len(bits))
+	os := make([]Opening, len(bits))
+	for i, bit := range bits {
+		r, err := randScalar()
+		if err != nil {
+			return nil, nil, err
+		}
+		g := new(big.Int)
+		if bit {
+			g.SetInt64(1)
+		}
+		p := pedersen(g, r)
+		cs[i], os[i] = Commitment{p.Encode()}, Opening{Bit: bit, R: r}
 	}
-	return c.C != nil && want.Cmp(c.C) == 0
+	return cs, os, nil
 }
 
-// BitProof is a Fiat–Shamir OR-proof that a commitment hides 0 or 1:
-// two simulated-or-real Schnorr transcripts whose challenges split the
-// hash of the commitments (CDS OR-composition).
-type BitProof struct {
-	A0, A1 *big.Int // Schnorr commitments for the two branches
-	E0, E1 *big.Int // split challenges, e0 + e1 = H(...)
-	Z0, Z1 *big.Int // responses
-}
+// transcript is the Fiat–Shamir prefix all challenges of one vector
+// share, hashed once: domain tag, caller's context, and the whole
+// commitment vector — every proof is bound to every commitment.
+type transcript [sha512.Size]byte
 
-// proveDlogOr builds the OR-proof for statement "C = h^r (bit 0) OR C/g =
-// h^r (bit 1)", given the real opening.
-func proveDlogOr(c Commitment, o Opening, ctx []byte) (*BitProof, error) {
-	// Statements: X0 = C, X1 = C / g; prover knows dlog_h of X_{bit}.
-	gInv := new(big.Int).ModInverse(genG, groupP)
-	x0 := new(big.Int).Set(c.C)
-	x1 := new(big.Int).Mod(new(big.Int).Mul(c.C, gInv), groupP)
-
-	real0 := !o.Bit
-	var xReal, xSim *big.Int
-	if real0 {
-		xReal, xSim = x0, x1
-	} else {
-		xReal, xSim = x1, x0
-	}
-	_ = xReal
-
-	// Simulate the false branch: pick eSim, zSim; aSim = h^zSim · xSim^{-eSim}.
-	eSim, err := rand.Int(rand.Reader, groupQ)
-	if err != nil {
-		return nil, err
-	}
-	zSim, err := rand.Int(rand.Reader, groupQ)
-	if err != nil {
-		return nil, err
-	}
-	xSimInv := new(big.Int).ModInverse(xSim, groupP)
-	aSim := new(big.Int).Exp(genH, zSim, groupP)
-	aSim.Mul(aSim, new(big.Int).Exp(xSimInv, eSim, groupP))
-	aSim.Mod(aSim, groupP)
-
-	// Real branch: a = h^w.
-	w, err := rand.Int(rand.Reader, groupQ)
-	if err != nil {
-		return nil, err
-	}
-	aReal := new(big.Int).Exp(genH, w, groupP)
-
-	var a0, a1 *big.Int
-	if real0 {
-		a0, a1 = aReal, aSim
-	} else {
-		a0, a1 = aSim, aReal
-	}
-
-	// Fiat–Shamir challenge over context, commitment, and both a's.
-	e := challenge(ctx, c.C, a0, a1)
-	// Split: eReal = e - eSim mod q.
-	eReal := new(big.Int).Sub(e, eSim)
-	eReal.Mod(eReal, groupQ)
-	// zReal = w + eReal · r mod q.
-	zReal := new(big.Int).Mul(eReal, o.R)
-	zReal.Add(zReal, w)
-	zReal.Mod(zReal, groupQ)
-
-	p := &BitProof{}
-	if real0 {
-		p.A0, p.E0, p.Z0 = a0, eReal, zReal
-		p.A1, p.E1, p.Z1 = a1, eSim, zSim
-	} else {
-		p.A0, p.E0, p.Z0 = a0, eSim, zSim
-		p.A1, p.E1, p.Z1 = a1, eReal, zReal
-	}
-	return p, nil
-}
-
-// verifyDlogOr checks the OR-proof against a commitment.
-func verifyDlogOr(c Commitment, p *BitProof, ctx []byte) error {
-	if c.C == nil || p == nil || p.A0 == nil || p.A1 == nil || p.E0 == nil || p.E1 == nil || p.Z0 == nil || p.Z1 == nil {
-		return ErrBadProof
-	}
-	e := challenge(ctx, c.C, p.A0, p.A1)
-	sum := new(big.Int).Add(p.E0, p.E1)
-	sum.Mod(sum, groupQ)
-	if sum.Cmp(new(big.Int).Mod(e, groupQ)) != 0 {
-		return fmt.Errorf("%w: challenge split", ErrBadProof)
-	}
-	gInv := new(big.Int).ModInverse(genG, groupP)
-	x0 := new(big.Int).Set(c.C)
-	x1 := new(big.Int).Mod(new(big.Int).Mul(c.C, gInv), groupP)
-	// Check h^z = a · x^e for both branches.
-	check := func(x, a, e, z *big.Int) bool {
-		lhs := new(big.Int).Exp(genH, z, groupP)
-		rhs := new(big.Int).Exp(x, e, groupP)
-		rhs.Mul(rhs, a)
-		rhs.Mod(rhs, groupP)
-		return lhs.Cmp(rhs) == 0
-	}
-	if !check(x0, p.A0, p.E0, p.Z0) {
-		return fmt.Errorf("%w: branch 0", ErrBadProof)
-	}
-	if !check(x1, p.A1, p.E1, p.Z1) {
-		return fmt.Errorf("%w: branch 1", ErrBadProof)
-	}
-	return nil
-}
-
-func challenge(ctx []byte, vals ...*big.Int) *big.Int {
-	h := sha256.New()
-	h.Write([]byte("pvr/zkp/fiat-shamir/v1"))
-	var lb [4]byte
-	binary.BigEndian.PutUint32(lb[:], uint32(len(ctx)))
-	h.Write(lb[:])
+func newTranscript(ctx []byte, cs []Commitment) *transcript {
+	h := sha512.New()
+	h.Write([]byte("pvr/zkp/fiat-shamir/v2"))
+	h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(ctx))))
 	h.Write(ctx)
-	for _, v := range vals {
-		b := v.Bytes()
-		binary.BigEndian.PutUint32(lb[:], uint32(len(b)))
-		h.Write(lb[:])
-		h.Write(b)
-	}
-	return new(big.Int).SetBytes(h.Sum(nil))
+	h.Write(MarshalCommitments(cs))
+	var t transcript
+	h.Sum(t[:0])
+	return &t
 }
 
-// MonotoneProof proves, in zero knowledge, that a committed bit vector
-// b_1…b_K is monotone non-decreasing and has its first 1 at position Min
-// (Min = 0 proves the all-zero vector). It contains one bit-proof per
-// position, one bit-proof per adjacent difference, and Schnorr equality
-// proofs pinning positions Min-1 and Min to 0 and 1.
-type MonotoneProof struct {
-	Min        int
-	BitProofs  []*BitProof // b_i ∈ {0,1}
-	DiffProofs []*BitProof // b_{i+1} - b_i ∈ {0,1}
-	// PinZero / PinOne are Schnorr proofs that C_{Min-1} hides 0 and
-	// C_Min hides 1 (nil when not applicable).
-	PinZero, PinOne *SchnorrProof
+// challenge derives the scalar for proof i of the given kind ('o': the
+// OR-proofs; '0', '1': the pin to that value at position i) from the
+// encodings of its As. 512 bits reduced mod ℓ are uniform to 2⁻²⁵⁹.
+func (t *transcript) challenge(kind byte, i int, as ...[]byte) *big.Int {
+	h := sha512.New()
+	h.Write(t[:])
+	h.Write(binary.BigEndian.AppendUint32([]byte{kind}, uint32(i)))
+	for _, a := range as {
+		h.Write(a)
+	}
+	e := group.ScalarFromLE(h.Sum(nil))
+	return e.Mod(e, group.Order)
 }
 
-// SchnorrProof proves knowledge of dlog_h(X) for a public X: here, that a
-// commitment (divided by g^v) is h^r — i.e. it hides the public value v.
-type SchnorrProof struct {
-	A, E, Z *big.Int
+// VectorProof proves in zero knowledge that a committed bit vector is
+// well-formed for the §3.3 minimum operator: each C_i hides a bit, and
+// the bits are monotone non-decreasing. It reveals nothing about where
+// the first 1 is — the verifier learns only "this is a valid promise
+// vector", which is what a third party is entitled to under α.
+type VectorProof struct {
+	// enc holds the 2K−1 OR-proofs, orSize bytes each as
+	// A₀ ‖ A₁ ‖ e₀ ‖ z₀ ‖ z₁: K bit proofs, then K−1 difference proofs.
+	enc []byte
 }
 
-func proveSchnorr(x *big.Int, r *big.Int, ctx []byte) (*SchnorrProof, error) {
-	w, err := rand.Int(rand.Reader, groupQ)
-	if err != nil {
-		return nil, err
+// positions returns K, the vector length the proof is shaped for.
+func (vp *VectorProof) positions() int { return (len(vp.enc)/orSize + 1) / 2 }
+
+// statement returns the commitment OR-proof j speaks about: position j,
+// or for j ≥ k the difference of positions j−k+1 and j−k.
+func statement(j, k int) (plus, minus int) {
+	if j < k {
+		return j, -1
 	}
-	a := new(big.Int).Exp(genH, w, groupP)
-	e := new(big.Int).Mod(challenge(ctx, x, a), groupQ)
-	z := new(big.Int).Mul(e, r)
-	z.Add(z, w)
-	z.Mod(z, groupQ)
-	return &SchnorrProof{A: a, E: e, Z: z}, nil
+	return j - k + 1, j - k
 }
 
-func verifySchnorr(x *big.Int, p *SchnorrProof, ctx []byte) error {
-	if p == nil || p.A == nil || p.E == nil || p.Z == nil {
-		return ErrBadProof
+// proveOr appends OR-proof j for a statement commitment that opens to
+// (o.Bit, o.R). The false branch s is simulated: Aₛ = zₛ·H − eₛ·Xₛ with
+// Xₛ = r·H ± G, hence Aₛ = (zₛ − eₛ·r)·H ∓ eₛ·G. A prover whose opening
+// is not what it claims gets a proof that does not verify.
+func (vp *VectorProof) proveOr(tr *transcript, j int, o Opening) error {
+	var rnd [3]*big.Int // eSim, zSim, w
+	for i := range rnd {
+		var err error
+		if rnd[i], err = randScalar(); err != nil {
+			return err
+		}
 	}
-	if e := new(big.Int).Mod(challenge(ctx, x, p.A), groupQ); e.Cmp(p.E) != 0 {
-		return fmt.Errorf("%w: schnorr challenge", ErrBadProof)
+	eSim, zSim, w := rnd[0], rnd[1], rnd[2]
+	real, sim := 0, 1
+	gCoef := eSim
+	if o.Bit {
+		real, sim = 1, 0
+		gCoef = new(big.Int).Sub(group.Order, eSim)
 	}
-	lhs := new(big.Int).Exp(genH, p.Z, groupP)
-	rhs := new(big.Int).Exp(x, p.E, groupP)
-	rhs.Mul(rhs, p.A)
-	rhs.Mod(rhs, groupP)
-	if lhs.Cmp(rhs) != 0 {
-		return fmt.Errorf("%w: schnorr equation", ErrBadProof)
+	hCoef := new(big.Int).Mul(eSim, o.R)
+	hCoef.Mod(hCoef.Sub(zSim, hCoef), group.Order)
+
+	var a [2]group.Point
+	a[sim] = pedersen(gCoef, hCoef)
+	genH.Mult(&a[real], w)
+	enc := [2][ElemSize]byte{a[0].Encode(), a[1].Encode()}
+
+	var e, z [2]*big.Int
+	e[sim], z[sim] = eSim, zSim
+	e[real] = tr.challenge('o', j, enc[0][:], enc[1][:])
+	e[real].Mod(e[real].Sub(e[real], eSim), group.Order)
+	z[real] = new(big.Int).Mul(e[real], o.R)
+	z[real].Mod(z[real].Add(z[real], w), group.Order)
+
+	vp.enc = append(append(vp.enc, enc[0][:]...), enc[1][:]...)
+	for _, s := range []*big.Int{e[0], z[0], z[1]} {
+		vp.enc = group.AppendScalar(vp.enc, s)
 	}
 	return nil
 }
 
-// statementZero returns X = C (hides 0 iff X = h^r).
-func statementZero(c Commitment) *big.Int { return new(big.Int).Set(c.C) }
-
-// statementOne returns X = C/g (hides 1 iff X = h^r).
-func statementOne(c Commitment) *big.Int {
-	gInv := new(big.Int).ModInverse(genG, groupP)
-	return new(big.Int).Mod(new(big.Int).Mul(c.C, gInv), groupP)
+// prove runs the one prove loop: K bit proofs, then K−1 difference
+// proofs. C_{i+1} − C_i commits to b_{i+1} − b_i under r_{i+1} − r_i, and
+// the vector is monotone iff every difference is 0 or 1.
+func prove(tr *transcript, os []Opening) (*VectorProof, error) {
+	k := len(os)
+	vp := &VectorProof{enc: make([]byte, 0, max(0, 2*k-1)*orSize)}
+	for j := 0; j < 2*k-1; j++ {
+		plus, minus := statement(j, k)
+		o := os[plus]
+		if minus >= 0 {
+			r := new(big.Int).Sub(o.R, os[minus].R)
+			o = Opening{Bit: o.Bit != os[minus].Bit, R: r.Mod(r, group.Order)}
+		}
+		if err := vp.proveOr(tr, j, o); err != nil {
+			return nil, err
+		}
+	}
+	return vp, nil
 }
 
-// ProveMonotone builds the full proof for committed bits with openings.
-// min is the 1-based first set position, or 0 if no bit is set; it must
-// match the openings (the prover is honest here — a cheating prover simply
-// fails verification).
-func ProveMonotone(cs []Commitment, os []Opening, min int, ctx []byte) (*MonotoneProof, error) {
+// equation is one Schnorr verification equation z·H = A + e·X, for the
+// statement "X = C[plus] − C[minus] − g·G is a multiple of H" (minus < 0:
+// nothing subtracted).
+type equation struct {
+	e, z        *big.Int
+	plus, minus int
+	g           bool
+}
+
+// batch collects one verification's equations and the decoded points
+// they speak about: H, G, C_0 … C_{K−1}, then equation i's A at
+// points[2+K+i]. Only here do bytes become points.
+type batch struct {
+	points []group.Point
+	eqs    []equation
+}
+
+func newBatch(cs []Commitment, nEqs int) (*batch, error) {
+	b := &batch{points: make([]group.Point, 2+len(cs), 2+len(cs)+nEqs), eqs: make([]equation, 0, nEqs)}
+	b.points[0], b.points[1] = genH.P, genG.P
+	for i := range cs {
+		if !b.points[2+i].Decode(cs[i].enc[:]) {
+			return nil, fmt.Errorf("%w: commitment %d is not a group element", ErrBadProof, i+1)
+		}
+	}
+	return b, nil
+}
+
+func (b *batch) add(a []byte, eq equation) error {
+	var p group.Point
+	if !p.Decode(a) {
+		return fmt.Errorf("%w: equation %d: A is not a group element", ErrBadProof, len(b.eqs))
+	}
+	b.points, b.eqs = append(b.points, p), append(b.eqs, eq)
+	return nil
+}
+
+// addVector adds the two Schnorr equations of every OR-proof, deriving
+// e₁. The scalars were range-checked at decode (or reduced by prove).
+func (b *batch) addVector(tr *transcript, vp *VectorProof) error {
+	k := vp.positions()
+	for j := 0; (j+1)*orSize <= len(vp.enc); j++ {
+		rec := vp.enc[j*orSize : (j+1)*orSize]
+		a0, a1 := rec[:ElemSize], rec[ElemSize:2*ElemSize]
+		e0 := group.ScalarFromLE(rec[2*ElemSize : 3*ElemSize])
+		e1 := tr.challenge('o', j, a0, a1)
+		e1.Mod(e1.Sub(e1, e0), group.Order)
+		plus, minus := statement(j, k)
+		if err := b.add(a0, equation{e0, group.ScalarFromLE(rec[3*ElemSize : 4*ElemSize]), plus, minus, false}); err != nil {
+			return err
+		}
+		if err := b.add(a1, equation{e1, group.ScalarFromLE(rec[4*ElemSize:]), plus, minus, true}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// check verifies every equation at once: with a fresh random 128-bit ρ
+// each, Σ ρ·(A + e·X − z·H) must be the identity. The sum is regrouped
+// by point — H, G, each C_i, each A — into one multi-scalar product.
+func (b *batch) check() error {
+	rho := make([]byte, 16*len(b.eqs))
+	if _, err := rand.Read(rho); err != nil {
+		return err
+	}
+	n := len(b.points) - len(b.eqs)
+	scalars := make([][4]uint64, n, len(b.points))
+	coef := make([]*big.Int, n) // on H, G, C_0 … C_{K−1}
+	for i := range coef {
+		coef[i] = new(big.Int)
+	}
+	t := new(big.Int)
+	for i, eq := range b.eqs {
+		r := new(big.Int).SetBytes(rho[16*i : 16*i+16])
+		scalars = append(scalars, group.Limbs(r))
+		coef[0].Sub(coef[0], t.Mul(r, eq.z))
+		t.Mod(t.Mul(r, eq.e), group.Order)
+		coef[2+eq.plus].Add(coef[2+eq.plus], t)
+		if eq.minus >= 0 {
+			coef[2+eq.minus].Sub(coef[2+eq.minus], t)
+		}
+		if eq.g {
+			coef[1].Sub(coef[1], t)
+		}
+	}
+	for i, c := range coef {
+		scalars[i] = group.Limbs(c.Mod(c, group.Order))
+	}
+	if sum := group.MSM(b.points, scalars); !sum.Equal(&identity) {
+		return ErrBadProof
+	}
+	return nil
+}
+
+// ProveVector builds the well-formedness proof for committed bits with
+// openings. ctx binds the Fiat–Shamir challenges to the caller's context
+// (prover identity, prefix, epoch, seal root).
+func ProveVector(cs []Commitment, os []Opening, ctx []byte) (*VectorProof, error) {
 	if len(cs) != len(os) {
 		return nil, errors.New("zkp: commitment/opening length mismatch")
 	}
-	mp := &MonotoneProof{Min: min}
-	for i := range cs {
-		bp, err := proveDlogOr(cs[i], os[i], ctxFor(ctx, "bit", i))
-		if err != nil {
-			return nil, err
-		}
-		mp.BitProofs = append(mp.BitProofs, bp)
+	return prove(newTranscript(ctx, cs), os)
+}
+
+// vectorBatch decodes a vector proof's elements and lists its equations.
+func vectorBatch(cs []Commitment, vp *VectorProof, ctx []byte) (*batch, *transcript, error) {
+	if vp == nil || vp.positions() != len(cs) {
+		return nil, nil, fmt.Errorf("%w: shape", ErrBadProof)
 	}
-	// Differences: d_i = b_{i+1} - b_i; commitment C_{i+1}/C_i hides d_i
-	// with blinding r_{i+1}-r_i. Monotone ⟺ every d_i ∈ {0,1}.
-	for i := 0; i+1 < len(cs); i++ {
-		dc := Commitment{C: new(big.Int).Mod(
-			new(big.Int).Mul(cs[i+1].C, new(big.Int).ModInverse(cs[i].C, groupP)), groupP)}
-		do := Opening{
-			Bit: os[i+1].Bit != os[i].Bit, // monotone honest case: 0→1 diff
-			R:   new(big.Int).Mod(new(big.Int).Sub(os[i+1].R, os[i].R), groupQ),
-		}
-		bp, err := proveDlogOr(dc, do, ctxFor(ctx, "diff", i))
-		if err != nil {
-			return nil, err
-		}
-		mp.DiffProofs = append(mp.DiffProofs, bp)
+	b, err := newBatch(cs, 2*len(vp.enc)/orSize)
+	if err != nil {
+		return nil, nil, err
 	}
-	// Pin the minimum.
+	tr := newTranscript(ctx, cs)
+	return b, tr, b.addVector(tr, vp)
+}
+
+// VerifyVector checks a well-formedness proof against the public
+// commitments under the same context the prover used.
+func VerifyVector(cs []Commitment, vp *VectorProof, ctx []byte) error {
+	b, _, err := vectorBatch(cs, vp, ctx)
+	if err != nil {
+		return err
+	}
+	return b.check()
+}
+
+// MonotoneProof is the §3.1 strawman E4 measures: a VectorProof plus the
+// public minimum — Min is the 1-based position of the first 1, or 0 for
+// the all-zero vector — pinned by Schnorr proofs that C_{Min-1} hides 0
+// and C_Min hides 1 (for Min = 0, that the last position hides 0, which
+// with monotonicity pins the whole vector).
+type MonotoneProof struct {
+	Min    int
+	Vector *VectorProof
+	pin    [2]*pin // pin[v] for the position pinned to v; nil where Min needs none
+}
+
+// pin is a Schnorr proof that a commitment hides a public value v: that
+// X = C − v·G is a multiple of H. It carries A and z; the challenge is
+// derived, not sent.
+type pin struct {
+	a [ElemSize]byte
+	z *big.Int
+}
+
+// pins returns the 0-based positions a claimed minimum over k positions
+// pins to 0 and to 1, −1 where there is none.
+func pins(min, k int) [2]int {
 	if min > 0 {
-		one, err := proveSchnorr(statementOne(cs[min-1]), os[min-1].R, ctxFor(ctx, "pin1", min-1))
+		return [2]int{min - 2, min - 1}
+	}
+	return [2]int{k - 1, -1}
+}
+
+// ProveMonotone builds the full proof for committed bits with openings.
+// min must match the openings (the prover is honest here — a cheating
+// prover simply fails verification).
+func ProveMonotone(cs []Commitment, os []Opening, min int, ctx []byte) (*MonotoneProof, error) {
+	if len(cs) != len(os) || min < 0 || min > len(cs) {
+		return nil, errors.New("zkp: commitment/opening length mismatch or min out of range")
+	}
+	tr := newTranscript(ctx, cs)
+	vp, err := prove(tr, os)
+	if err != nil {
+		return nil, err
+	}
+	mp := &MonotoneProof{Min: min, Vector: vp}
+	for v, i := range pins(min, len(cs)) {
+		if i < 0 {
+			continue
+		}
+		w, err := randScalar()
 		if err != nil {
 			return nil, err
 		}
-		mp.PinOne = one
-		if min > 1 {
-			zero, err := proveSchnorr(statementZero(cs[min-2]), os[min-2].R, ctxFor(ctx, "pin0", min-2))
-			if err != nil {
-				return nil, err
-			}
-			mp.PinZero = zero
-		}
-	} else if len(cs) > 0 {
-		// All-zero vector: pin the last position to 0 (with monotonicity,
-		// that pins the whole vector).
-		zero, err := proveSchnorr(statementZero(cs[len(cs)-1]), os[len(cs)-1].R, ctxFor(ctx, "pin0", len(cs)-1))
-		if err != nil {
-			return nil, err
-		}
-		mp.PinZero = zero
+		var a group.Point
+		p := &pin{a: genH.Mult(&a, w).Encode()}
+		p.z = tr.challenge('0'+byte(v), i, p.a[:])
+		p.z.Mod(p.z.Add(p.z.Mul(p.z, os[i].R), w), group.Order)
+		mp.pin[v] = p
 	}
 	return mp, nil
 }
 
-// VerifyMonotone checks the proof against the public commitments and the
-// claimed minimum.
-func VerifyMonotone(cs []Commitment, mp *MonotoneProof, ctx []byte) error {
-	if mp == nil || len(mp.BitProofs) != len(cs) || len(mp.DiffProofs) != max(0, len(cs)-1) {
-		return fmt.Errorf("%w: shape", ErrBadProof)
+// batch lists the vector's equations and the pins', after checking that
+// the proof has the shape its claimed minimum needs.
+func (mp *MonotoneProof) batch(cs []Commitment, ctx []byte) (*batch, error) {
+	if mp == nil || mp.Min < 0 || mp.Min > len(cs) {
+		return nil, fmt.Errorf("%w: shape", ErrBadProof)
 	}
-	for i := range cs {
-		if err := verifyDlogOr(cs[i], mp.BitProofs[i], ctxFor(ctx, "bit", i)); err != nil {
-			return fmt.Errorf("bit %d: %w", i+1, err)
-		}
+	b, tr, err := vectorBatch(cs, mp.Vector, ctx)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i+1 < len(cs); i++ {
-		dc := Commitment{C: new(big.Int).Mod(
-			new(big.Int).Mul(cs[i+1].C, new(big.Int).ModInverse(cs[i].C, groupP)), groupP)}
-		if err := verifyDlogOr(dc, mp.DiffProofs[i], ctxFor(ctx, "diff", i)); err != nil {
-			return fmt.Errorf("diff %d: %w", i+1, err)
+	for v, i := range pins(mp.Min, len(cs)) {
+		p := mp.pin[v]
+		if (p == nil) != (i < 0) {
+			return nil, fmt.Errorf("%w: pins", ErrBadProof)
 		}
-	}
-	switch {
-	case mp.Min > 0:
-		if mp.Min > len(cs) {
-			return fmt.Errorf("%w: min out of range", ErrBadProof)
-		}
-		if err := verifySchnorr(statementOne(cs[mp.Min-1]), mp.PinOne, ctxFor(ctx, "pin1", mp.Min-1)); err != nil {
-			return fmt.Errorf("pin-one: %w", err)
-		}
-		if mp.Min > 1 {
-			if err := verifySchnorr(statementZero(cs[mp.Min-2]), mp.PinZero, ctxFor(ctx, "pin0", mp.Min-2)); err != nil {
-				return fmt.Errorf("pin-zero: %w", err)
-			}
-		}
-	case len(cs) > 0:
-		if err := verifySchnorr(statementZero(cs[len(cs)-1]), mp.PinZero, ctxFor(ctx, "pin0", len(cs)-1)); err != nil {
-			return fmt.Errorf("pin-zero: %w", err)
-		}
-	}
-	return nil
-}
-
-// Size returns the proof's approximate wire size in bytes (for the E4
-// experiment's size-scaling series).
-func (mp *MonotoneProof) Size() int {
-	n := 0
-	count := func(x *big.Int) {
-		if x != nil {
-			n += len(x.Bytes())
-		}
-	}
-	for _, bp := range append(append([]*BitProof{}, mp.BitProofs...), mp.DiffProofs...) {
-		if bp == nil {
+		if p == nil {
 			continue
 		}
-		count(bp.A0)
-		count(bp.A1)
-		count(bp.E0)
-		count(bp.E1)
-		count(bp.Z0)
-		count(bp.Z1)
+		e := tr.challenge('0'+byte(v), i, p.a[:])
+		if err := b.add(p.a[:], equation{e, p.z, i, -1, v == 1}); err != nil {
+			return nil, err
+		}
 	}
-	for _, sp := range []*SchnorrProof{mp.PinZero, mp.PinOne} {
-		if sp != nil {
-			count(sp.A)
-			count(sp.E)
-			count(sp.Z)
+	return b, nil
+}
+
+// VerifyMonotone checks the proof against the public commitments and the
+// claimed minimum: the vector's equations and the pins', in one batch.
+func VerifyMonotone(cs []Commitment, mp *MonotoneProof, ctx []byte) error {
+	b, err := mp.batch(cs, ctx)
+	if err != nil {
+		return err
+	}
+	return b.check()
+}
+
+// Size returns the proof's wire size in bytes (for the E4 experiment's
+// size-scaling series): the vector proof, Min, and 64 bytes per pin.
+func (mp *MonotoneProof) Size() int {
+	n := mp.Vector.Size() + 4
+	for _, p := range mp.pin {
+		if p != nil {
+			n += 2 * ElemSize
 		}
 	}
 	return n
-}
-
-func ctxFor(ctx []byte, kind string, i int) []byte {
-	out := append([]byte(nil), ctx...)
-	out = append(out, kind...)
-	var ib [4]byte
-	binary.BigEndian.PutUint32(ib[:], uint32(i))
-	return append(out, ib[:]...)
 }

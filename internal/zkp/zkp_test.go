@@ -3,18 +3,15 @@ package zkp
 import (
 	"math/big"
 	"testing"
+
+	"pvr/internal/group"
 )
 
-func commitVector(t *testing.T, bits []bool) ([]Commitment, []Opening) {
+func commitVector(t testing.TB, bits []bool) ([]Commitment, []Opening) {
 	t.Helper()
-	cs := make([]Commitment, len(bits))
-	os := make([]Opening, len(bits))
-	for i, b := range bits {
-		c, o, err := Commit(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs[i], os[i] = c, o
+	cs, os, err := CommitBits(bits)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return cs, os
 }
@@ -29,32 +26,54 @@ func monotone(k, min int) []bool {
 	return bits
 }
 
+// commitTo builds g·G + r·H for an arbitrary g — the malformed
+// commitments the soundness tests need.
+func commitTo(t testing.TB, g *big.Int) (Commitment, *big.Int) {
+	t.Helper()
+	r, err := randScalar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pedersen(g, r)
+	return Commitment{p.Encode()}, r
+}
+
+// opens checks an opening against a commitment; the ZK path never opens.
+func opens(c Commitment, o Opening) bool {
+	var p group.Point
+	if o.R == nil || o.R.Sign() < 0 || o.R.Cmp(group.Order) >= 0 || !p.Decode(c.enc[:]) {
+		return false
+	}
+	g := new(big.Int)
+	if o.Bit {
+		g.SetInt64(1)
+	}
+	want := pedersen(g, o.R)
+	return want.Equal(&p)
+}
+
 func TestCommitVerifyOpen(t *testing.T) {
 	for _, b := range []bool{false, true} {
-		c, o, err := Commit(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Verify(c, o) {
+		cs, os := commitVector(t, []bool{b})
+		c, o := cs[0], os[0]
+		if !opens(c, o) {
 			t.Errorf("bit %v: honest opening rejected", b)
 		}
 		o.Bit = !o.Bit
-		if Verify(c, o) {
+		if opens(c, o) {
 			t.Errorf("bit %v: flipped opening accepted", b)
 		}
+	}
+	// The zero Commitment is the identity: a commitment to 0 under r = 0.
+	if !opens(Commitment{}, Opening{R: new(big.Int)}) || opens(Commitment{}, Opening{Bit: true, R: new(big.Int)}) {
+		t.Error("the zero Commitment does not behave as the identity element")
 	}
 }
 
 func TestCommitHiding(t *testing.T) {
-	c1, _, err := Commit(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, _, err := Commit(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.C.Cmp(c2.C) == 0 {
+	cs, _ := commitVector(t, []bool{true, true})
+	c1, c2 := cs[0], cs[1]
+	if c1.enc == c2.enc {
 		t.Error("two commitments to the same bit are equal")
 	}
 }
@@ -62,59 +81,44 @@ func TestCommitHiding(t *testing.T) {
 func TestBitProofBothValues(t *testing.T) {
 	ctx := []byte("test")
 	for _, b := range []bool{false, true} {
-		c, o, err := Commit(b)
+		cs, os := commitVector(t, []bool{b})
+		vp, err := ProveVector(cs, os, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := proveDlogOr(c, o, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := verifyDlogOr(c, p, ctx); err != nil {
+		if err := VerifyVector(cs, vp, ctx); err != nil {
 			t.Errorf("bit %v: honest proof rejected: %v", b, err)
 		}
-		// Wrong context fails (proofs are bound to their position).
-		if err := verifyDlogOr(c, p, []byte("other")); err == nil {
+		if err := VerifyVector(cs, vp, []byte("other")); err == nil {
 			t.Errorf("bit %v: proof accepted under wrong context", b)
 		}
 	}
 }
 
 func TestBitProofSoundness(t *testing.T) {
-	// A "commitment" to 2 (= g² h^r) must not admit a bit proof.
+	// Commitments to 2 and to −1 must not admit a bit proof, whichever
+	// bit the prover claims.
 	ctx := []byte("test")
-	r, err := randScalar()
-	if err != nil {
-		t.Fatal(err)
+	for _, g := range []*big.Int{big.NewInt(2), new(big.Int).Sub(group.Order, big.NewInt(1))} {
+		c, r := commitTo(t, g)
+		for _, claim := range []bool{false, true} {
+			vp, err := ProveVector([]Commitment{c}, []Opening{{Bit: claim, R: r}}, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if VerifyVector([]Commitment{c}, vp, ctx) == nil {
+				t.Errorf("proof that a commitment to %v is the bit %v accepted", g, claim)
+			}
+		}
 	}
-	c := Commitment{C: new(big.Int).Exp(genH, r, groupP)}
-	c.C.Mul(c.C, new(big.Int).Exp(genG, big.NewInt(2), groupP))
-	c.C.Mod(c.C, groupP)
-	// The prover lies: claims bit 1 with blinding r.
-	p, err := proveDlogOr(c, Opening{Bit: true, R: r}, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verifyDlogOr(c, p, ctx); err == nil {
-		t.Error("proof for a non-bit accepted")
-	}
-}
-
-func randScalar() (*big.Int, error) {
-	_, o, err := Commit(false)
-	if err != nil {
-		return nil, err
-	}
-	return o.R, nil
 }
 
 func TestMonotoneProofHonest(t *testing.T) {
 	ctx := []byte("epoch-7")
 	for _, tc := range []struct{ k, min int }{
-		{1, 0}, {1, 1}, {4, 1}, {8, 3}, {8, 8}, {8, 0}, {16, 5},
+		{0, 0}, {1, 0}, {1, 1}, {4, 1}, {8, 3}, {8, 8}, {8, 0}, {16, 5},
 	} {
-		bits := monotone(tc.k, tc.min)
-		cs, os := commitVector(t, bits)
+		cs, os := commitVector(t, monotone(tc.k, tc.min))
 		mp, err := ProveMonotone(cs, os, tc.min, ctx)
 		if err != nil {
 			t.Fatalf("k=%d min=%d: %v", tc.k, tc.min, err)
@@ -122,16 +126,25 @@ func TestMonotoneProofHonest(t *testing.T) {
 		if err := VerifyMonotone(cs, mp, ctx); err != nil {
 			t.Errorf("k=%d min=%d: honest proof rejected: %v", tc.k, tc.min, err)
 		}
+		b, err := mp.batch(cs, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := naiveVerify(b); err != nil {
+			t.Errorf("k=%d min=%d: equation-by-equation check: %v", tc.k, tc.min, err)
+		}
 		if mp.Size() <= 0 {
 			t.Error("proof size not positive")
+		}
+		if VerifyMonotone(cs, mp, []byte("epoch-8")) == nil && tc.k > 0 {
+			t.Errorf("k=%d min=%d: proof accepted under wrong context", tc.k, tc.min)
 		}
 	}
 }
 
 func TestMonotoneProofRejectsNonMonotone(t *testing.T) {
 	ctx := []byte("epoch-8")
-	bits := []bool{false, true, false, true} // dip
-	cs, os := commitVector(t, bits)
+	cs, os := commitVector(t, []bool{false, true, false, true}) // dip
 	// A cheating prover claims min=2 over a non-monotone vector; the diff
 	// proof for the 1->0 drop cannot be made.
 	mp, err := ProveMonotone(cs, os, 2, ctx)
@@ -145,31 +158,36 @@ func TestMonotoneProofRejectsNonMonotone(t *testing.T) {
 
 func TestMonotoneProofRejectsWrongMin(t *testing.T) {
 	ctx := []byte("epoch-9")
-	bits := monotone(8, 3)
-	cs, os := commitVector(t, bits)
-	// Claim min=5 although bit 3 is set: pin-zero at position 4 fails
-	// (b_4 = 1), or pin-one at 5 succeeds but pin-zero at 4 lies.
-	mp, err := ProveMonotone(cs, os, 5, ctx)
+	cs, os := commitVector(t, monotone(8, 3))
+	// Claim min=5 although bit 3 is set (the pin-zero at position 4 lies),
+	// min=2 although bit 2 is clear (the pin-one lies), and min=0.
+	for _, min := range []int{5, 2, 0} {
+		mp, err := ProveMonotone(cs, os, min, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyMonotone(cs, mp, ctx); err == nil {
+			t.Errorf("minimum %d verified over a vector whose minimum is 3", min)
+		}
+	}
+	// An honest proof relabelled with another minimum: the pins no longer
+	// sit where the claim needs them.
+	mp, err := ProveMonotone(cs, os, 3, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyMonotone(cs, mp, ctx); err == nil {
-		t.Error("wrong minimum verified")
-	}
-	// Claim min=2 although bit 2 is 0.
-	mp, err = ProveMonotone(cs, os, 2, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyMonotone(cs, mp, ctx); err == nil {
-		t.Error("too-small minimum verified")
+	for _, min := range []int{1, 2, 4, 0} {
+		bad := *mp
+		bad.Min = min
+		if VerifyMonotone(cs, &bad, ctx) == nil {
+			t.Errorf("honest proof for minimum 3 verified as minimum %d", min)
+		}
 	}
 }
 
 func TestMonotoneProofShapeChecks(t *testing.T) {
 	ctx := []byte("x")
-	bits := monotone(4, 2)
-	cs, os := commitVector(t, bits)
+	cs, os := commitVector(t, monotone(4, 2))
 	mp, err := ProveMonotone(cs, os, 2, ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -180,10 +198,21 @@ func TestMonotoneProofShapeChecks(t *testing.T) {
 	if err := VerifyMonotone(cs, nil, ctx); err == nil {
 		t.Error("nil proof accepted")
 	}
-	bad := *mp
-	bad.Min = 99
-	if err := VerifyMonotone(cs, &bad, ctx); err == nil {
-		t.Error("out-of-range min accepted")
+	for name, mut := range map[string]func(*MonotoneProof){
+		"out-of-range min": func(m *MonotoneProof) { m.Min = 99 },
+		"negative min":     func(m *MonotoneProof) { m.Min = -1 },
+		"missing pin":      func(m *MonotoneProof) { m.pin[1] = nil },
+		"missing vector":   func(m *MonotoneProof) { m.Vector = nil },
+		"swapped pins":     func(m *MonotoneProof) { m.pin[0], m.pin[1] = m.pin[1], m.pin[0] },
+	} {
+		bad := *mp
+		mut(&bad)
+		if VerifyMonotone(cs, &bad, ctx) == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := ProveMonotone(cs, os, 5, ctx); err == nil {
+		t.Error("ProveMonotone accepted a minimum beyond the vector")
 	}
 }
 
@@ -192,8 +221,7 @@ func TestMonotoneProofSizeLinear(t *testing.T) {
 	ctx := []byte("scale")
 	var sizes []int
 	for _, k := range []int{4, 8, 16} {
-		bits := monotone(k, 2)
-		cs, os := commitVector(t, bits)
+		cs, os := commitVector(t, monotone(k, 2))
 		mp, err := ProveMonotone(cs, os, 2, ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -203,29 +231,22 @@ func TestMonotoneProofSizeLinear(t *testing.T) {
 		}
 		sizes = append(sizes, mp.Size())
 	}
-	// Doubling k should roughly double the size (within 25%).
-	ratio := float64(sizes[1]) / float64(sizes[0])
-	if ratio < 1.5 || ratio > 2.5 {
-		t.Errorf("size growth 4->8 = %.2fx, want ~2x (sizes %v)", ratio, sizes)
-	}
-	ratio = float64(sizes[2]) / float64(sizes[1])
-	if ratio < 1.5 || ratio > 2.5 {
-		t.Errorf("size growth 8->16 = %.2fx, want ~2x (sizes %v)", ratio, sizes)
+	for i := 1; i < len(sizes); i++ {
+		// Doubling k should roughly double the size (within 25%).
+		if ratio := float64(sizes[i]) / float64(sizes[i-1]); ratio < 1.5 || ratio > 2.5 {
+			t.Errorf("size growth step %d = %.2fx, want ~2x (sizes %v)", i, ratio, sizes)
+		}
 	}
 }
 
+func benchVector(b *testing.B) ([]Commitment, []Opening, []byte) {
+	cs, os := commitVector(b, monotone(16, 4))
+	b.ReportAllocs()
+	return cs, os, []byte("bench")
+}
+
 func BenchmarkProveMonotone16(b *testing.B) {
-	bits := monotone(16, 4)
-	cs := make([]Commitment, len(bits))
-	os := make([]Opening, len(bits))
-	for i, bit := range bits {
-		c, o, err := Commit(bit)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs[i], os[i] = c, o
-	}
-	ctx := []byte("bench")
+	cs, os, ctx := benchVector(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ProveMonotone(cs, os, 4, ctx); err != nil {
@@ -235,17 +256,7 @@ func BenchmarkProveMonotone16(b *testing.B) {
 }
 
 func BenchmarkVerifyMonotone16(b *testing.B) {
-	bits := monotone(16, 4)
-	cs := make([]Commitment, len(bits))
-	os := make([]Opening, len(bits))
-	for i, bit := range bits {
-		c, o, err := Commit(bit)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs[i], os[i] = c, o
-	}
-	ctx := []byte("bench")
+	cs, os, ctx := benchVector(b)
 	mp, err := ProveMonotone(cs, os, 4, ctx)
 	if err != nil {
 		b.Fatal(err)
@@ -253,6 +264,30 @@ func BenchmarkVerifyMonotone16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := VerifyMonotone(cs, mp, ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkProveVector16(b *testing.B) {
+	cs, os, ctx := benchVector(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ProveVector(cs, os, ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkVerifyVector16(b *testing.B) {
+	cs, os, ctx := benchVector(b)
+	vp, err := ProveVector(cs, os, ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := VerifyVector(cs, vp, ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

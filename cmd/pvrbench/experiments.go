@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
@@ -739,7 +740,7 @@ func runGossip(seed int64) error {
 			if fanout > n-1 {
 				continue
 			}
-			res, err := netsim.RunGossip(netsim.GossipConfig{
+			res, err := netsim.RunGossip(context.Background(), netsim.GossipConfig{
 				Nodes: n, Fanout: fanout, Epochs: epochs, Equivocate: true, Seed: seed,
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -68,7 +69,7 @@ func runPriv(seed int64) error {
 		"prefixes", "ring k", "queries", "verified", "denied", "proofs", "sig bytes", "proof bytes", "ring vfy p50", "zk vfy p50")
 	var rows []privRow
 	for _, sz := range sweep {
-		res, err := netsim.RunPriv(netsim.PrivConfig{
+		res, err := netsim.RunPriv(context.Background(), netsim.PrivConfig{
 			Prefixes: sz.prefixes, RingK: sz.ringK, Seed: seed,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -47,7 +48,7 @@ func runQuery(seed int64) error {
 		"prefixes", "clients", "queries", "denied", "qps", "verified", "p50", "p99", "srv p99", "cache hit")
 	var rows []queryRow
 	for _, sz := range sweep {
-		res, err := netsim.RunQuery(netsim.QueryConfig{
+		res, err := netsim.RunQuery(context.Background(), netsim.QueryConfig{
 			Prefixes: sz.prefixes, Providers: providers,
 			Clients: sz.clients, QueriesPerClient: 200,
 			Seed: seed,

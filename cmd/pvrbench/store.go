@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -51,7 +52,7 @@ func runStore(seed int64) error {
 		// appends), and benchgate compares at the baseline's largest size.
 		cfg.Appenders = []int{storeAppenders}
 	}
-	res, err := netsim.RunStore(cfg)
+	res, err := netsim.RunStore(context.Background(), cfg)
 	if err != nil {
 		return err
 	}

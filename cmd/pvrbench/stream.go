@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -46,7 +47,7 @@ func runStream(seed int64) error {
 		if windowEvents < 1 {
 			windowEvents = 1
 		}
-		res, err := netsim.RunChurn(netsim.ChurnConfig{
+		res, err := netsim.RunChurn(context.Background(), netsim.ChurnConfig{
 			Prefixes: nPfx, Providers: providers,
 			Events: windows * windowEvents, WindowEvents: windowEvents,
 			Shards: shards, Seed: seed, MeasureFull: true,

@@ -8,6 +8,7 @@ package main
 // tracing plane's whole claim is that no conviction is unexplained.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -47,7 +48,7 @@ func runTrace(seed int64) error {
 	rows := make([]traceRow, 0, len(sizes))
 	for _, n := range sizes {
 		start := time.Now()
-		res, err := netsim.RunTrace(netsim.TraceConfig{Nodes: n, Fanout: 3, Seed: seed})
+		res, err := netsim.RunTrace(context.Background(), netsim.TraceConfig{Nodes: n, Fanout: 3, Seed: seed})
 		if err != nil {
 			return err
 		}

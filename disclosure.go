@@ -504,11 +504,10 @@ func (p *Participant) QueryDisclosure(ctx context.Context, peer string, q Query)
 }
 
 // Announce signs an input route offered to a neighboring prover for an
-// epoch (the route's first AS must be this participant). The counterpart
-// of Node.Announce for Participant identities: a provider announces
-// through this, the prover ingests via Submit(AnnounceEvent(...)), and
-// the provider later audits the prover with a RoleProvider
-// QueryDisclosure carrying this same announcement.
+// epoch (the route's first AS must be this participant). A provider
+// announces through this, the prover ingests via
+// Submit(AnnounceEvent(...)), and the provider later audits the prover
+// with a RoleProvider QueryDisclosure carrying this same announcement.
 func (p *Participant) Announce(to ASN, epoch uint64, r Route) (Announcement, error) {
 	a, err := core.NewAnnouncement(p.signer, p.asn, to, epoch, r)
 	return a, wrapErr("announce", err)

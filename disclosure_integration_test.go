@@ -195,26 +195,18 @@ func testDisclosureQueryPlane(t *testing.T, newTransport func() pvr.Transport, l
 		t.Fatalf("query after conviction: %v, want ErrConvicted", err)
 	}
 
-	// The conviction is persistent: reopening the ledger replays the
-	// evidence, and a fresh participant over it starts convicted.
+	// The conviction is persistent: a fresh participant opened on the
+	// ledger replays the evidence — re-verifying every signature and
+	// re-running the judge — and starts convicted.
 	if err := promisee.Close(); err != nil {
 		t.Fatal(err)
 	}
-	led, recs, err := pvr.OpenLedger(ledgerPath)
-	if err != nil {
-		t.Fatal(err)
+	reopened := open(64504, pvr.WithLedger(ledgerPath))
+	defer reopened.Close()
+	if !reopened.Auditor().Convicted(a.ASN()) {
+		t.Fatalf("ledger replay did not convict %s", a.ASN())
 	}
-	defer led.Close()
-	if len(recs) == 0 {
-		t.Fatal("ledger holds no evidence after the conviction")
-	}
-	found := false
-	for _, rec := range recs {
-		if rec.Conflict != nil && rec.Conflict.Origin == a.ASN() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("ledger evidence does not accuse %s", a.ASN())
+	if got := reopened.Stats().Convictions; got != 1 {
+		t.Fatalf("ledger replay convicted %d ASes, want 1", got)
 	}
 }

@@ -33,12 +33,14 @@ func TestParticipantCrashRestartDurability(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	faultA := pvr.NewStoreFault()
 
-	network := pvr.NewNetwork()
-	provider, err := network.AddNode(64700)
+	// The churn provider only signs the routes it offers A: a
+	// Participant with no listener and no peers.
+	provider, err := pvr.Open(ctx, pvr.WithASN(64700), pvr.WithTransport(mem), pvr.WithHoldTime(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	providerKey, err := network.Registry().Lookup(provider.ASN())
+	defer provider.Close()
+	providerKey, err := provider.Registry().Lookup(provider.ASN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +151,9 @@ func TestParticipantCrashRestartDurability(t *testing.T) {
 		t.Fatal("armed crash did not trip on the mid-window WAL append")
 	}
 	a.Close()
+	// B's count before the restart: A2 dials B inside Open, so B may verify
+	// the re-sealed table before Open even returns.
+	verified := b.Stats().RoutesVerified
 
 	// Restart on the same store. Recovery must surface the last window
 	// that could have been published (the torn one was not), and the
@@ -176,7 +181,6 @@ func TestParticipantCrashRestartDurability(t *testing.T) {
 	// B — never restarted, still holding every pre-crash seal statement —
 	// verifies the re-sealed table over the fresh session without
 	// convicting A: re-seals after restart are not equivocations.
-	verified := b.Stats().RoutesVerified
 	waitFor(t, "B to verify A's post-restart table", func() bool {
 		return b.Stats().RoutesVerified >= verified+uint64(len(pfxs))
 	})

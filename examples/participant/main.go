@@ -29,12 +29,19 @@ func main() {
 	defer cancel()
 	mem := pvr.NewMemTransport()
 
-	// The out-of-band PKI the paper assumes: the churn provider and the
-	// pure auditor share it; the BGP neighbor instead pins keys
-	// trust-on-first-use from the session.
-	network := pvr.NewNetwork()
-	provider, err := network.AddNode(64700)
+	// The out-of-band PKI the paper assumes: the origin, its provider and
+	// the pure auditor share it; the BGP neighbor instead pins keys
+	// trust-on-first-use from the session. The provider needs no
+	// listener: it only signs the routes it offers the origin.
+	reg := pvr.NewRegistry()
+	provider, err := pvr.Open(ctx,
+		pvr.WithASN(64700),
+		pvr.WithTransport(mem),
+		pvr.WithRegistry(reg),
+		pvr.WithHoldTime(0),
+	)
 	check(err)
+	defer provider.Close()
 
 	pfxs := []pvr.Prefix{
 		pvr.MustParsePrefix("203.0.113.0/24"),
@@ -47,7 +54,7 @@ func main() {
 	origin, err := pvr.Open(ctx,
 		pvr.WithASN(64500),
 		pvr.WithTransport(mem),
-		pvr.WithRegistry(network.Registry()),
+		pvr.WithRegistry(reg),
 		pvr.WithOriginate(pfxs...),
 		pvr.WithShards(4),
 		pvr.WithWindow(0),
@@ -73,7 +80,7 @@ func main() {
 	auditor, err := pvr.Open(ctx,
 		pvr.WithASN(64502),
 		pvr.WithTransport(mem),
-		pvr.WithRegistry(network.Registry()),
+		pvr.WithRegistry(reg),
 		pvr.WithGossipListen("auditor-audit"),
 		pvr.WithHoldTime(0),
 	)

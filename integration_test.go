@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"pvr"
 	"pvr/internal/aspath"
 	"pvr/internal/bgp"
 	"pvr/internal/core"
@@ -101,7 +100,7 @@ func TestIntegrationSessionCarriesVerifiableAnnouncement(t *testing.T) {
 	if len(recv.Announced) != 1 || !recv.Announced[0].Equal(r) {
 		t.Fatal("route mangled in transit")
 	}
-	rebuilt := pvr.Announcement{
+	rebuilt := core.Announcement{
 		Epoch:    epoch,
 		Provider: providerASN,
 		To:       proverASN,
@@ -125,7 +124,7 @@ func TestIntegrationSessionCarriesVerifiableAnnouncement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pvr.VerifyPromiseeView(reg, view); err != nil {
+	if err := core.VerifyPromiseeView(reg, view); err != nil {
 		t.Fatalf("end-to-end verification failed: %v", err)
 	}
 	if view.Winner == nil || view.Winner.Provider != providerASN {

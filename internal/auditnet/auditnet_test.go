@@ -1,6 +1,7 @@
 package auditnet
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -402,29 +403,26 @@ func TestEpochRefilingRejected(t *testing.T) {
 	}
 }
 
-func TestLedgerTornMagicResets(t *testing.T) {
-	p := newTestPKI(t, 2)
+// TestLedgerRefusesRegularFile: the ledger is a directory of WAL
+// segments. A regular file at its path is refused with an error and left
+// byte for byte as it was — never replaced by a silently empty ledger,
+// which would forget every conviction the file might hold.
+func TestLedgerRefusesRegularFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.ledger")
-	// Simulate a crash during the very first (magic) write.
-	if err := os.WriteFile(path, []byte{0, 0, 0}, 0o644); err != nil {
+	orig := []byte{0, 0, 0}
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	led, recs, err := OpenLedger(path)
+	if led, recs, err := OpenLedger(path); err == nil {
+		led.Close()
+		t.Fatalf("opened a regular file as a ledger (%d records)", len(recs))
+	}
+	got, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("torn magic bricked the ledger: %v", err)
+		t.Fatalf("file at the ledger path is gone: %v", err)
 	}
-	defer led.Close()
-	if len(recs) != 0 {
-		t.Fatalf("replayed %d records from torn magic", len(recs))
-	}
-	// The reset ledger is usable.
-	a, err := New(Config{ASN: 1, Registry: p.reg, Ledger: led})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.AddRecord(p.record(t, 2, 1, "t", "version-A"))
-	if _, c, err := a.AddRecord(p.record(t, 2, 1, "t", "version-B")); err != nil || c == nil {
-		t.Fatalf("append to reset ledger failed: %v %v", c, err)
+	if !bytes.Equal(got, orig) {
+		t.Fatalf("file at the ledger path rewritten: %x", got)
 	}
 }
 

@@ -1,11 +1,8 @@
 package auditnet
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -30,16 +27,8 @@ type Ledger struct {
 	met *auditMetrics // detached handles until an Auditor instruments us
 }
 
-// Ledger record frame types. recMagic only appears in legacy v1
-// single-file ledgers (the WAL's segment header versions the new
-// format); recConflict is the evidence record in both.
-const (
-	recMagic    uint8 = 0x01
-	recConflict uint8 = 0x02
-)
-
-// ledgerMagic is the first record of a legacy v1 ledger file.
-const ledgerMagic = "pvr/auditnet-ledger/v1"
+// recConflict is the ledger's one record type: an evidence record.
+const recConflict uint8 = 0x02
 
 // LedgerRecord is one replayed evidence entry.
 type LedgerRecord struct {
@@ -58,10 +47,7 @@ var ErrLedgerCorrupt = errors.New("auditnet: ledger corrupt")
 // record (the crash-during-append case) is dropped; any other malformed
 // framing fails with ErrLedgerCorrupt. Record *contents* are not
 // verified here; the Auditor does that, with keys, during its replay.
-//
-// A regular file at path is a legacy v1 single-file ledger: its records
-// are migrated into the WAL and the file is kept beside it as
-// path+".v1".
+// Anything but a directory at path is an error, and is left untouched.
 func OpenLedger(path string) (*Ledger, []LedgerRecord, error) {
 	return OpenLedgerAt(path, store.Options{})
 }
@@ -69,24 +55,20 @@ func OpenLedger(path string) (*Ledger, []LedgerRecord, error) {
 // OpenLedgerAt is OpenLedger with explicit WAL options (group-commit
 // cadence, metrics).
 func OpenLedgerAt(path string, opt store.Options) (*Ledger, []LedgerRecord, error) {
-	migrated, err := readLegacy(path)
-	if err != nil {
-		return nil, nil, err
-	}
 	b, err := store.NewFileBackend(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("auditnet: open ledger: %w", err)
 	}
-	return openLedger(b, opt, path, migrated)
+	return openLedger(b, opt, path)
 }
 
 // OpenLedgerBackend opens the ledger on an arbitrary store backend (a
 // Participant's shared durable store, a netsim Mem, a fault injector).
 func OpenLedgerBackend(b store.Backend, opt store.Options) (*Ledger, []LedgerRecord, error) {
-	return openLedger(b, opt, "", nil)
+	return openLedger(b, opt, "")
 }
 
-func openLedger(b store.Backend, opt store.Options, path string, migrated [][]byte) (*Ledger, []LedgerRecord, error) {
+func openLedger(b store.Backend, opt store.Options, path string) (*Ledger, []LedgerRecord, error) {
 	log, rec, err := store.OpenLog(b, opt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrLedgerCorrupt, err)
@@ -100,21 +82,7 @@ func openLedger(b store.Backend, opt store.Options, path string, migrated [][]by
 		}
 		recs = append(recs, lr)
 	}
-	l := &Ledger{log: log, path: path}
-	// Re-home legacy records into the WAL before anything else lands.
-	for _, payload := range migrated {
-		lr, err := decodeLedgerRecord(store.Record{Type: recConflict, Data: payload})
-		if err != nil {
-			log.Close()
-			return nil, nil, err
-		}
-		if err := log.Append(recConflict, payload); err != nil {
-			log.Close()
-			return nil, nil, fmt.Errorf("auditnet: migrate ledger: %w", err)
-		}
-		recs = append(recs, lr)
-	}
-	return l, recs, nil
+	return &Ledger{log: log, path: path}, recs, nil
 }
 
 func decodeLedgerRecord(r store.Record) (LedgerRecord, error) {
@@ -134,56 +102,6 @@ func decodeLedgerRecord(r store.Record) (LedgerRecord, error) {
 		return LedgerRecord{}, fmt.Errorf("%w: conflict record: %v", ErrLedgerCorrupt, err)
 	}
 	return LedgerRecord{Accuser: aspath.ASN(accuser), Conflict: c}, nil
-}
-
-// readLegacy detects a v1 single-file ledger at path, parses its
-// records, and moves the file aside so a WAL directory can take its
-// place. It returns the raw conflict payloads to re-append.
-func readLegacy(path string) ([][]byte, error) {
-	info, err := os.Stat(path)
-	if err != nil || info.IsDir() {
-		return nil, nil // absent or already a WAL directory
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("auditnet: read legacy ledger: %w", err)
-	}
-	payloads, err := parseLegacy(raw)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.Rename(path, path+".v1"); err != nil {
-		return nil, fmt.Errorf("auditnet: move legacy ledger aside: %w", err)
-	}
-	return payloads, nil
-}
-
-// parseLegacy decodes a v1 ledger image: netx frames, a magic record
-// first, conflict records after, torn tail tolerated. A torn magic
-// (crash during the very first write) reads as an empty ledger.
-func parseLegacy(raw []byte) ([][]byte, error) {
-	rd := bytes.NewReader(raw)
-	first, err := netx.ReadFrame(rd)
-	if errors.Is(err, netx.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return nil, nil
-	}
-	if err != nil || first.Type != recMagic || string(first.Payload) != ledgerMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrLedgerCorrupt)
-	}
-	var payloads [][]byte
-	for {
-		fr, err := netx.ReadFrame(rd)
-		if errors.Is(err, netx.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return payloads, nil // clean EOF or torn tail
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrLedgerCorrupt, err)
-		}
-		if fr.Type != recConflict {
-			return nil, fmt.Errorf("%w: unknown record type %#x", ErrLedgerCorrupt, fr.Type)
-		}
-		payloads = append(payloads, fr.Payload)
-	}
 }
 
 // AppendConflict durably appends one evidence record: it returns once

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"pvr/internal/gossip"
-	"pvr/internal/netx"
 )
 
 // makeConflict builds judge-ready equivocation evidence: the accused
@@ -181,61 +180,6 @@ func TestLedgerReplayToleratesTornAndDuplicatedTail(t *testing.T) {
 	}
 	if _, err := New(Config{ASN: 1, Registry: p.reg, Ledger: led2, Replay: recs}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLedgerMigratesLegacyV1File: a ledger written by the old
-// single-file format opens transparently — its records land in the WAL,
-// the original file is kept aside as a .v1 backup, and a second open
-// sees only the WAL.
-func TestLedgerMigratesLegacyV1File(t *testing.T) {
-	p := newTestPKI(t, 3)
-	path := filepath.Join(t.TempDir(), "legacy.ledger")
-
-	// Write a v1 image by hand: magic record, then one conflict record.
-	c := makeConflict(t, p, "seal/2/7.1/0")
-	payload := netx.AppendU32(nil, 1) // accuser
-	payload = append(payload, EncodeConflict(c)...)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := netx.WriteFrame(f, netx.Frame{Type: recMagic, Payload: []byte(ledgerMagic)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := netx.WriteFrame(f, netx.Frame{Type: recConflict, Payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	led, recs, err := OpenLedger(path)
-	if err != nil {
-		t.Fatalf("legacy ledger did not migrate: %v", err)
-	}
-	if len(recs) != 1 || recs[0].Accuser != 1 || recs[0].Conflict.Topic != c.Topic {
-		t.Fatalf("migrated records = %+v", recs)
-	}
-	if _, err := os.Stat(path + ".v1"); err != nil {
-		t.Fatalf("legacy backup missing: %v", err)
-	}
-	if info, err := os.Stat(path); err != nil || !info.IsDir() {
-		t.Fatalf("path is not a WAL directory after migration: %v", err)
-	}
-	if err := led.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second open replays from the WAL alone; the evidence verifies.
-	led2, recs2, err := OpenLedger(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer led2.Close()
-	if len(recs2) != 1 {
-		t.Fatalf("reopen after migration replayed %d records, want 1", len(recs2))
-	}
-	if _, err := New(Config{ASN: 1, Registry: p.reg, Ledger: led2, Replay: recs2}); err != nil {
-		t.Fatalf("migrated evidence failed verification: %v", err)
 	}
 }
 

@@ -163,15 +163,10 @@ func churnProvider(i int) aspath.ASN { return aspath.ASN(64600 + i) }
 // replay a trace.Generate churn stream in fixed-size windows, checking
 // the dirty-shard invariants, optionally timing the full-reseal baseline,
 // and gossiping each window's seals through an audit network in which an
-// injected mid-churn equivocation must still convict.
-func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
-	return RunChurnContext(context.Background(), cfg)
-}
-
-// RunChurnContext is RunChurn bounded by a context: cancellation is
-// observed at every window boundary, returning ctx.Err() with the run
-// abandoned.
-func RunChurnContext(ctx context.Context, cfg ChurnConfig) (*ChurnResult, error) {
+// injected mid-churn equivocation must still convict. Cancellation of
+// ctx is observed at every window boundary, returning ctx.Err() with the
+// run abandoned.
+func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnResult, error) {
 	cfg.fill()
 	if cfg.WindowEvents > cfg.Events {
 		cfg.WindowEvents = cfg.Events

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"testing"
 )
 
@@ -8,7 +9,7 @@ import (
 // the shards holding a changed prefix are rebuilt, and untouched shards
 // keep their roots (re-signed, not recomputed).
 func TestRunChurnDirtyShardInvariants(t *testing.T) {
-	res, err := RunChurn(ChurnConfig{
+	res, err := RunChurn(context.Background(), ChurnConfig{
 		Prefixes: 256, Providers: 2, Events: 96, WindowEvents: 8,
 		Shards: 16, Seed: 7,
 	})
@@ -41,7 +42,7 @@ func TestRunChurnDirtyShardInvariants(t *testing.T) {
 // outcomes (per-window dirty sets and rebuilt shards).
 func TestRunChurnDeterministic(t *testing.T) {
 	run := func() *ChurnResult {
-		res, err := RunChurn(ChurnConfig{
+		res, err := RunChurn(context.Background(), ChurnConfig{
 			Prefixes: 128, Providers: 2, Events: 96, WindowEvents: 32,
 			Shards: 4, Seed: 42,
 		})
@@ -75,7 +76,7 @@ func TestRunChurnDeterministic(t *testing.T) {
 // while windows keep sealing and gossiping — is detected and every audit
 // node convicts the prover by the end of the run.
 func TestRunChurnEquivocationConvicts(t *testing.T) {
-	res, err := RunChurn(ChurnConfig{
+	res, err := RunChurn(context.Background(), ChurnConfig{
 		Prefixes: 128, Providers: 2, Events: 192, WindowEvents: 32,
 		Shards: 4, Seed: 3, Equivocate: true, Nodes: 8, Fanout: 2,
 	})
@@ -101,7 +102,7 @@ func TestRunChurnEquivocationConvicts(t *testing.T) {
 // audit network stays quiet — re-seals under churn must not read as
 // equivocation.
 func TestRunChurnHonestRunConvictsNobody(t *testing.T) {
-	res, err := RunChurn(ChurnConfig{
+	res, err := RunChurn(context.Background(), ChurnConfig{
 		Prefixes: 64, Providers: 2, Events: 64, WindowEvents: 32,
 		Shards: 4, Seed: 5, Nodes: 4,
 	})
@@ -116,7 +117,7 @@ func TestRunChurnHonestRunConvictsNobody(t *testing.T) {
 // TestRunChurnMeasureFull exercises the baseline comparison path at a
 // small size (the ≥5x acceptance claim is checked by E12 at full size).
 func TestRunChurnMeasureFull(t *testing.T) {
-	res, err := RunChurn(ChurnConfig{
+	res, err := RunChurn(context.Background(), ChurnConfig{
 		Prefixes: 256, Providers: 2, Events: 32, WindowEvents: 16,
 		Shards: 4, Seed: 11, MeasureFull: true,
 	})

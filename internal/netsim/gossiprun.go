@@ -123,15 +123,10 @@ func gossipNodeASN(i int) aspath.ASN { return aspath.ASN(1000 + i) }
 // auditors, inject the workload, and drive synchronous anti-entropy rounds
 // (each node reconciles with Fanout random peers per round, over
 // rendezvous pipes running the real wire protocol) until the epoch
-// quiesces or MaxRounds is hit.
-func RunGossip(cfg GossipConfig) (*GossipResult, error) {
-	return RunGossipContext(context.Background(), cfg)
-}
-
-// RunGossipContext is RunGossip bounded by a context: cancellation is
-// observed at every anti-entropy round boundary, returning ctx.Err() with
-// the run abandoned.
-func RunGossipContext(ctx context.Context, cfg GossipConfig) (*GossipResult, error) {
+// quiesces or MaxRounds is hit. Cancellation of ctx is observed at every
+// anti-entropy round boundary, returning ctx.Err() with the run
+// abandoned.
+func RunGossip(ctx context.Context, cfg GossipConfig) (*GossipResult, error) {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // the convicted prover's disclosures.
 func TestGossipConvergenceDetectsEquivocation(t *testing.T) {
 	dir := t.TempDir()
-	res, err := RunGossip(GossipConfig{
+	res, err := RunGossip(context.Background(), GossipConfig{
 		Nodes: 20, Fanout: 2, Equivocate: true, Seed: 1, LedgerDir: dir,
 	})
 	if err != nil {
@@ -70,7 +71,7 @@ func TestGossipConvergenceDetectsEquivocation(t *testing.T) {
 // TestGossipBytesScaleWithDelta: reconciliation traffic tracks the number
 // of new statements, not the accumulated store size.
 func TestGossipBytesScaleWithDelta(t *testing.T) {
-	res, err := RunGossip(GossipConfig{Nodes: 12, Fanout: 2, Epochs: 6, Seed: 3})
+	res, err := RunGossip(context.Background(), GossipConfig{Nodes: 12, Fanout: 2, Epochs: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestGossipBytesScaleWithDelta(t *testing.T) {
 // outcomes (rounds, bytes, detection latency).
 func TestGossipSeedDeterminism(t *testing.T) {
 	run := func() *GossipResult {
-		res, err := RunGossip(GossipConfig{Nodes: 10, Fanout: 2, Equivocate: true, Epochs: 2, Seed: 7})
+		res, err := RunGossip(context.Background(), GossipConfig{Nodes: 10, Fanout: 2, Equivocate: true, Epochs: 2, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestGossipSeedDeterminism(t *testing.T) {
 }
 
 func TestGossipHonestRunNoConvictions(t *testing.T) {
-	res, err := RunGossip(GossipConfig{Nodes: 8, Fanout: 2, Epochs: 2, Seed: 5})
+	res, err := RunGossip(context.Background(), GossipConfig{Nodes: 8, Fanout: 2, Epochs: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

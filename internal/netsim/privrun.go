@@ -92,14 +92,9 @@ type PrivResult struct {
 	Elapsed                      time.Duration
 }
 
-// RunPriv executes one privacy-plane run; see RunPrivContext.
-func RunPriv(cfg PrivConfig) (*PrivResult, error) {
-	return RunPrivContext(context.Background(), cfg)
-}
-
-// RunPrivContext executes one privacy-plane run, bounded by ctx
-// (cancellation observed between queries).
-func RunPrivContext(ctx context.Context, cfg PrivConfig) (*PrivResult, error) {
+// RunPriv executes one privacy-plane run, bounded by ctx (cancellation
+// observed between queries).
+func RunPriv(ctx context.Context, cfg PrivConfig) (*PrivResult, error) {
 	cfg.fill()
 	start := time.Now()
 	reg := sigs.NewRegistry()

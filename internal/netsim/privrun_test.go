@@ -10,7 +10,7 @@ import (
 // denied, the server-side observer learns nothing beyond the ring, and
 // every third-party ZK opening verifies against the gossiped seal.
 func TestRunPrivE17(t *testing.T) {
-	res, err := RunPriv(PrivConfig{Prefixes: 8, RingK: 3, Shards: 2, MaxLen: 12})
+	res, err := RunPriv(context.Background(), PrivConfig{Prefixes: 8, RingK: 3, Shards: 2, MaxLen: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRunPrivE17(t *testing.T) {
 func TestRunPrivContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunPrivContext(ctx, PrivConfig{Prefixes: 4, RingK: 2}); err == nil {
+	if _, err := RunPriv(ctx, PrivConfig{Prefixes: 4, RingK: 2}); err == nil {
 		t.Fatal("cancelled run reported no error")
 	}
 }

@@ -106,14 +106,9 @@ const (
 	queryGhost    = aspath.ASN(64901)
 )
 
-// RunQuery executes one disclosure-query run; see RunQueryContext.
-func RunQuery(cfg QueryConfig) (*QueryResult, error) {
-	return RunQueryContext(context.Background(), cfg)
-}
-
-// RunQueryContext executes one disclosure-query run, bounded by ctx
+// RunQuery executes one disclosure-query run, bounded by ctx
 // (cancellation observed between queries).
-func RunQueryContext(ctx context.Context, cfg QueryConfig) (*QueryResult, error) {
+func RunQuery(ctx context.Context, cfg QueryConfig) (*QueryResult, error) {
 	cfg.fill()
 	reg := sigs.NewRegistry()
 	signers := make(map[aspath.ASN]sigs.Signer)

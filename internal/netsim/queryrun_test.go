@@ -10,7 +10,7 @@ import (
 // verifies, and every unentitled query is denied — no wrong denials, no
 // wrong grants, no verification failures.
 func TestRunQueryAlphaCorrectnessAtScale(t *testing.T) {
-	res, err := RunQuery(QueryConfig{
+	res, err := RunQuery(context.Background(), QueryConfig{
 		Prefixes: 64, Providers: 3, Clients: 4, QueriesPerClient: 50, Shards: 4, Seed: 1,
 	})
 	if err != nil {
@@ -42,11 +42,11 @@ func TestRunQueryAlphaCorrectnessAtScale(t *testing.T) {
 // mix: equal seeds produce identical outcome counts.
 func TestRunQueryDeterministicOutcomes(t *testing.T) {
 	cfg := QueryConfig{Prefixes: 32, Providers: 2, Clients: 3, QueriesPerClient: 40, Shards: 2, Seed: 7}
-	a, err := RunQuery(cfg)
+	a, err := RunQuery(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunQuery(cfg)
+	b, err := RunQuery(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRunQueryDeterministicOutcomes(t *testing.T) {
 func TestRunQueryContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunQueryContext(ctx, QueryConfig{Prefixes: 16, Clients: 2, QueriesPerClient: 10}); err == nil {
+	if _, err := RunQuery(ctx, QueryConfig{Prefixes: 16, Clients: 2, QueriesPerClient: 10}); err == nil {
 		t.Fatal("canceled run reported no error")
 	}
 }

@@ -113,14 +113,9 @@ type StoreResult struct {
 	Elapsed         time.Duration
 }
 
-// RunStore executes one durability run; see RunStoreContext.
-func RunStore(cfg StoreConfig) (*StoreResult, error) {
-	return RunStoreContext(context.Background(), cfg)
-}
-
-// RunStoreContext executes one durability run, bounded by ctx
-// (cancellation observed between phases).
-func RunStoreContext(ctx context.Context, cfg StoreConfig) (*StoreResult, error) {
+// RunStore executes one durability run, bounded by ctx (cancellation
+// observed between phases).
+func RunStore(ctx context.Context, cfg StoreConfig) (*StoreResult, error) {
 	cfg.fill()
 	start := time.Now()
 	res := &StoreResult{}

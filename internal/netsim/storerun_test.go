@@ -1,11 +1,14 @@
 package netsim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestRunStore runs the E18 fault matrix at a reduced scale on the
 // in-memory backend and requires every scenario row to pass.
 func TestRunStore(t *testing.T) {
-	res, err := RunStore(StoreConfig{
+	res, err := RunStore(context.Background(), StoreConfig{
 		Appenders:          []int{1, 4},
 		AppendsPerAppender: 32,
 		RecoverySizes:      []int{200, 400},

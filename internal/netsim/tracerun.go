@@ -115,14 +115,9 @@ type TraceResult struct {
 	FleetConvictions float64 `json:"fleet_convictions"`
 }
 
-// RunTrace executes one E16 run. See TraceConfig.
-func RunTrace(cfg TraceConfig) (*TraceResult, error) {
-	return RunTraceContext(context.Background(), cfg)
-}
-
-// RunTraceContext is RunTrace bounded by a context, checked at every
-// anti-entropy round boundary.
-func RunTraceContext(ctx context.Context, cfg TraceConfig) (*TraceResult, error) {
+// RunTrace executes one E16 run (see TraceConfig), bounded by ctx,
+// checked at every anti-entropy round boundary.
+func RunTrace(ctx context.Context, cfg TraceConfig) (*TraceResult, error) {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

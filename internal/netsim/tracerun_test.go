@@ -1,12 +1,15 @@
 package netsim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestRunTraceStitchesEveryChain is the E16 acceptance criterion in
 // miniature: every injected equivocation must come back as a fully
 // stitched cross-participant chain, detected within the gossip bound.
 func TestRunTraceStitchesEveryChain(t *testing.T) {
-	res, err := RunTrace(TraceConfig{Nodes: 56, Fanout: 3, Provers: 6, Seed: 7})
+	res, err := RunTrace(context.Background(), TraceConfig{Nodes: 56, Fanout: 3, Provers: 6, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +44,11 @@ func TestRunTraceStitchesEveryChain(t *testing.T) {
 // TestRunTraceDeterministic: equal seeds replay identical detection
 // outcomes (trace IDs differ — they are process-random by design).
 func TestRunTraceDeterministic(t *testing.T) {
-	a, err := RunTrace(TraceConfig{Nodes: 50, Fanout: 2, Provers: 4, Seed: 11})
+	a, err := RunTrace(context.Background(), TraceConfig{Nodes: 50, Fanout: 2, Provers: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTrace(TraceConfig{Nodes: 50, Fanout: 2, Provers: 4, Seed: 11})
+	b, err := RunTrace(context.Background(), TraceConfig{Nodes: 50, Fanout: 2, Provers: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func WithSigner(s Signer) Option {
 	}
 }
 
-// WithRegistry shares a verification-key registry (e.g. a Network's) with
+// WithRegistry shares a verification-key registry (see NewRegistry) with
 // the participant instead of starting from an empty trust-on-first-use
 // one. The participant registers its own key in it.
 func WithRegistry(r *Registry) Option {

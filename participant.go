@@ -27,10 +27,10 @@ import (
 )
 
 // Participant is one AS running all of PVR at once: the sharded prover
-// Engine over its routing table, the streaming UpdatePlane that re-seals
+// Engine over its routing table, the streaming update plane that re-seals
 // dirty shards under churn, BGP sessions that carry sealed commitments to
 // neighbors (and verify what neighbors claim), the audit-network Auditor
-// gossiping statements and evidence, and the persistent evidence Ledger.
+// gossiping statements and evidence, and the persistent evidence ledger.
 //
 // The lifecycle is Open(ctx, opts...) → Run(ctx) → Stats() → Close():
 // Open validates options, builds the stack, seals the first epoch over
@@ -57,9 +57,8 @@ type Participant struct {
 	upSigner Signer
 	pfxs     []Prefix
 
-	plane   *UpdatePlane
+	plane   *updplane.Plane
 	auditor *Auditor
-	ledger  *Ledger
 
 	// dstate is the participant's durable state (nil without WithStore):
 	// sealed window position, trust-on-first-use pins, and the
@@ -173,8 +172,8 @@ func Open(ctx context.Context, opts ...Option) (*Participant, error) {
 		p.reg = sigs.NewRegistry()
 	}
 	p.memoVer = p.verdicts.Bind(p.reg)
-	// A shared registry may already hold a key for this ASN (e.g. a
-	// Network node). Never overwrite it silently: signatures made under
+	// A shared registry may already hold a key for this ASN (e.g. another
+	// participant's). Never overwrite it silently: signatures made under
 	// the displaced key would stop verifying network-wide, and the two
 	// keys publishing on the same topics could read as equivocation.
 	// RegisterIfAbsent makes the check-and-install atomic, so concurrent
@@ -340,7 +339,6 @@ func (p *Participant) buildAuditor() error {
 		return wrapErr("open", err)
 	}
 	if led != nil {
-		p.ledger = led
 		cfg.Ledger, cfg.Replay = led, recs
 		if len(recs) > 0 {
 			src := led.Path()
@@ -1036,8 +1034,7 @@ func (p *Participant) Reconcile(ctx context.Context, addr string) (*AuditStats, 
 
 // SignStatement signs an arbitrary gossip statement as this participant.
 // Honest participants publish only through their seals; this is for
-// simulations and tests that model Byzantine equivocation (compare
-// Node.SignExport).
+// simulations and tests that model Byzantine equivocation.
 func (p *Participant) SignStatement(topic string, payload []byte) (Statement, error) {
 	sig, err := p.signer.Sign(payload)
 	if err != nil {

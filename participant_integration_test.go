@@ -35,13 +35,15 @@ func TestParticipantsEndToEndConviction(t *testing.T) {
 	mem := pvr.NewMemTransport()
 
 	// A shared out-of-band PKI for the churn provider; A joins it so
-	// announcements from the provider verify. B and C start from empty
-	// registries and pin A's key trust-on-first-use.
-	network := pvr.NewNetwork()
-	provider, err := network.AddNode(64700)
+	// announcements from the provider verify. B starts from an empty
+	// registry and pins A's key trust-on-first-use. The provider only
+	// signs the routes it offers A: no listener, no peers.
+	reg := pvr.NewRegistry()
+	provider, err := pvr.Open(ctx, pvr.WithASN(64700), pvr.WithTransport(mem), pvr.WithRegistry(reg), pvr.WithHoldTime(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer provider.Close()
 
 	pfxs := []pvr.Prefix{
 		pvr.MustParsePrefix("203.0.113.0/24"),
@@ -55,7 +57,7 @@ func TestParticipantsEndToEndConviction(t *testing.T) {
 	a, err := pvr.Open(ctx,
 		pvr.WithASN(64500),
 		pvr.WithTransport(mem),
-		pvr.WithRegistry(network.Registry()),
+		pvr.WithRegistry(reg),
 		pvr.WithOriginate(pfxs...),
 		pvr.WithShards(4),
 		pvr.WithWindow(0),
@@ -89,7 +91,7 @@ func TestParticipantsEndToEndConviction(t *testing.T) {
 	c, err := pvr.Open(ctx,
 		pvr.WithASN(64502),
 		pvr.WithTransport(mem),
-		pvr.WithRegistry(network.Registry()),
+		pvr.WithRegistry(reg),
 		pvr.WithGossipListen("gc"),
 		pvr.WithHoldTime(0),
 		pvr.WithLogf(t.Logf),
@@ -236,11 +238,13 @@ func TestOpenConfigErrors(t *testing.T) {
 	}
 	// A shared registry that already holds a key for the ASN must not be
 	// silently overwritten by a fresh Participant key.
-	network := pvr.NewNetwork()
-	if _, err := network.AddNode(64500); err != nil {
+	held := pvr.NewRegistry()
+	key, err := pvr.GenerateEd25519()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pvr.Open(ctx, pvr.WithASN(64500), pvr.WithRegistry(network.Registry())); !errors.Is(err, pvr.ErrConfig) {
+	held.Register(64500, key.Public())
+	if _, err := pvr.Open(ctx, pvr.WithASN(64500), pvr.WithRegistry(held)); !errors.Is(err, pvr.ErrConfig) {
 		t.Fatalf("Open over an ASN with a registered key: %v, want ErrConfig", err)
 	}
 	// A failed Open must roll back the keys it added, so a shared

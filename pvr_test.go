@@ -1,168 +1,116 @@
 package pvr_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net/netip"
+	"sync"
 	"testing"
+	"time"
 
 	"pvr"
 )
 
-// TestPublicAPIMinProtocol exercises the package through its public
-// surface only: the documented quickstart flow.
+// testFleet opens Participants for one test on a shared in-memory transport
+// and a shared out-of-band registry, closing them when the test ends.
+type testFleet struct {
+	t   *testing.T
+	ctx context.Context
+	mem *pvr.MemTransport
+	reg *pvr.Registry
+}
+
+func newTestFleet(t *testing.T) *testFleet {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+	return &testFleet{t: t, ctx: ctx, mem: pvr.NewMemTransport(), reg: pvr.NewRegistry()}
+}
+
+func (f *testFleet) open(asn pvr.ASN, opts ...pvr.Option) *pvr.Participant {
+	f.t.Helper()
+	p, err := pvr.Open(f.ctx, append([]pvr.Option{
+		pvr.WithASN(asn), pvr.WithTransport(f.mem), pvr.WithRegistry(f.reg),
+		pvr.WithHoldTime(0), pvr.WithLogf(f.t.Logf),
+	}, opts...)...)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	f.t.Cleanup(func() { p.Close() })
+	return p
+}
+
+// announce has provider offer prover a route for pfx of the given path
+// length and feeds it into the prover's update plane.
+func (f *testFleet) announce(provider, prover *pvr.Participant, pfx pvr.Prefix, length int) pvr.Announcement {
+	f.t.Helper()
+	asns := make([]pvr.ASN, length)
+	asns[0] = provider.ASN()
+	for i := 1; i < length; i++ {
+		asns[i] = pvr.ASN(65000 + i)
+	}
+	ann, err := provider.Announce(prover.ASN(), 1, pvr.Route{
+		Prefix:  pfx,
+		Path:    pvr.NewPath(asns...),
+		NextHop: netip.MustParseAddr("192.0.2.1"),
+	})
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	if err := prover.Submit(f.ctx, pvr.AnnounceEvent(provider.ASN(), ann)); err != nil {
+		f.t.Fatal(err)
+	}
+	return ann
+}
+
+// TestPublicAPIMinProtocol runs the §3.3 minimum-operator protocol
+// through the public surface only: two providers announce routes for one
+// prefix to A, A seals them in a window, each provider verifies its
+// opened bit, and the promisee B verifies the full vector and that the
+// export is the shorter route.
 func TestPublicAPIMinProtocol(t *testing.T) {
-	net := pvr.NewNetwork()
-	a, err := net.AddNode(64500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n1, err := net.AddNode(64501)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := net.AddNode(64502)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.AddNode(64503)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newTestFleet(t)
+	a := f.open(64500, pvr.WithWindow(0), pvr.WithDiscloseListen("a"), pvr.WithPromisees(64503))
+	n1, n2, b := f.open(64501), f.open(64502), f.open(64503)
 
 	pfx := pvr.MustParsePrefix("203.0.113.0/24")
-	prover, err := a.NewProver(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prover.BeginEpoch(1, pfx)
-
-	mk := func(from *pvr.Node, length int) pvr.Announcement {
-		asns := make([]pvr.ASN, length)
-		asns[0] = from.ASN()
-		for i := 1; i < length; i++ {
-			asns[i] = pvr.ASN(65000 + i)
-		}
-		r := pvr.Route{
-			Prefix:  pfx,
-			Path:    pvr.NewPath(asns...),
-			NextHop: netip.MustParseAddr("192.0.2.1"),
-		}
-		ann, err := from.Announce(a.ASN(), 1, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ann
-	}
-	ann1 := mk(n1, 5)
-	ann2 := mk(n2, 2)
-	for _, ann := range []pvr.Announcement{ann1, ann2} {
-		if _, err := prover.AcceptAnnouncement(ann); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := prover.CommitMin(); err != nil {
+	ann1 := f.announce(n1, a, pfx, 5)
+	ann2 := f.announce(n2, a, pfx, 2)
+	if _, err := a.Flush(f.ctx); err != nil {
 		t.Fatal(err)
 	}
 
 	// Providers verify.
-	v1, err := prover.DiscloseToProvider(n1.ASN())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pvr.VerifyProviderView(net.Registry(), v1, ann1); err != nil {
-		t.Errorf("N1: %v", err)
+	for _, c := range []struct {
+		n   *pvr.Participant
+		ann pvr.Announcement
+	}{{n1, ann1}, {n2, ann2}} {
+		if _, err := c.n.QueryDisclosure(f.ctx, "a", pvr.Query{
+			Prefix: pfx, Epoch: 1, Role: pvr.RoleProvider, Prover: a.ASN(), Announcement: &c.ann,
+		}); err != nil {
+			t.Errorf("%s: %v", c.n.ASN(), err)
+		}
 	}
 	// Promisee verifies; winner is N2's length-2 route.
-	pv, err := prover.DiscloseToPromisee(b.ASN())
+	d, err := b.RequestDisclosure(f.ctx, "a", pfx, 1)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("B: %v", err)
 	}
-	if err := pvr.VerifyPromiseeView(net.Registry(), pv); err != nil {
-		t.Errorf("B: %v", err)
-	}
-	if pv.Winner == nil || pv.Winner.Provider != n2.ASN() {
-		t.Errorf("winner = %+v", pv.Winner)
-	}
-}
-
-func TestPublicAPINetworkManagement(t *testing.T) {
-	net := pvr.NewNetwork()
-	if _, err := net.AddNode(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.AddNode(1); err == nil {
-		t.Error("duplicate node accepted")
-	}
-	if _, ok := net.Node(1); !ok {
-		t.Error("node lookup failed")
-	}
-	if _, ok := net.Node(9); ok {
-		t.Error("phantom node")
-	}
-	if _, err := net.AddNodeRSA(2, 1024); err != nil {
-		t.Fatal(err)
-	}
-	members := net.Members()
-	if len(members) != 2 || members[0] != 1 || members[1] != 2 {
-		t.Errorf("Members = %v", members)
-	}
-}
-
-func TestPublicAPIFig1Simulation(t *testing.T) {
-	res, err := pvr.RunFig1(pvr.Fig1Config{K: 3, MaxLen: 8, Fault: pvr.FaultSuppress, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Detected || res.GuiltyVerdicts == 0 {
-		t.Error("suppression escaped the public-API simulation")
-	}
-	clean, err := pvr.RunFig1(pvr.Fig1Config{K: 3, MaxLen: 8, Fault: pvr.FaultNone, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Detected || clean.FalseAccusations != 0 {
-		t.Error("honest run flagged through public API")
-	}
-}
-
-func TestPublicAPIGossip(t *testing.T) {
-	net := pvr.NewNetwork()
-	n1, err := net.AddNode(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := n1.NewGossipPool()
-	if pool == nil {
-		t.Fatal("nil pool")
-	}
-	if got := len(pool.Statements()); got != 0 {
-		t.Errorf("fresh pool has %d statements", got)
+	if w := d.Promisee.Winner; w == nil || w.Provider != n2.ASN() {
+		t.Errorf("winner = %+v", w)
 	}
 }
 
 // TestPublicAPIEngine exercises the sharded multi-prefix engine through
-// the public surface: ingest for many prefixes, seal, and verify both
-// disclosure kinds via the pipeline.
+// the public surface: a provider's routes for many prefixes are ingested
+// and sealed in one window, every shard seal verifies against the shared
+// registry, and both disclosure kinds verify for every prefix.
 func TestPublicAPIEngine(t *testing.T) {
-	net := pvr.NewNetwork()
-	a, err := net.AddNode(64500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n1, err := net.AddNode(64501)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.AddNode(64503)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	eng, err := a.NewEngine(pvr.EngineConfig{MaxLen: 16, Shards: 4, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.BeginEpoch(1)
+	f := newTestFleet(t)
+	a := f.open(64500, pvr.WithShards(4), pvr.WithMaxLen(16), pvr.WithWindow(0),
+		pvr.WithDiscloseListen("a"), pvr.WithPromisees(64503))
+	n1, b := f.open(64501), f.open(64503)
 
 	var (
 		pfxs []pvr.Prefix
@@ -171,137 +119,197 @@ func TestPublicAPIEngine(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pfx := pvr.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))
 		pfxs = append(pfxs, pfx)
-		asns := make([]pvr.ASN, 1+i%16)
-		asns[0] = n1.ASN()
-		for j := 1; j < len(asns); j++ {
-			asns[j] = pvr.ASN(65000 + j)
-		}
-		ann, err := n1.Announce(a.ASN(), 1, pvr.Route{
-			Prefix:  pfx,
-			Path:    pvr.NewPath(asns...),
-			NextHop: netip.MustParseAddr("192.0.2.1"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.AcceptAnnouncement(ann); err != nil {
-			t.Fatal(err)
-		}
-		anns = append(anns, ann)
+		anns = append(anns, f.announce(n1, a, pfx, 1+i%16))
 	}
-
-	seals, err := eng.SealEpoch()
+	w, err := a.Flush(f.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range seals {
-		if err := s.Verify(net.Registry()); err != nil {
-			t.Fatal(err)
-		}
+	if w.DirtyPrefixes != len(pfxs) {
+		t.Fatalf("window sealed %d dirty prefixes, want %d", w.DirtyPrefixes, len(pfxs))
 	}
 
-	pl := pvr.NewPipeline(net.Registry(), 2)
-	for i, pfx := range pfxs {
-		pv, err := eng.DiscloseToProvider(pfx, n1.ASN())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.SubmitProvider(pv, anns[i])
-		bv, err := eng.DiscloseToPromisee(pfx, b.ASN())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.SubmitPromisee(bv, b.ASN())
+	seals := a.Engine().Seals()
+	if len(seals) == 0 {
+		t.Fatal("no shard seals")
 	}
-	for _, r := range pl.Drain() {
-		if r.Err != nil {
-			t.Fatalf("%s neighbor %s: %v", r.Prefix, r.Neighbor, r.Err)
+	for _, s := range seals {
+		if err := s.Verify(f.reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, pfx := range pfxs {
+		if _, err := n1.QueryDisclosure(f.ctx, "a", pvr.Query{
+			Prefix: pfx, Epoch: 1, Role: pvr.RoleProvider, Prover: a.ASN(), Announcement: &anns[i],
+		}); err != nil {
+			t.Fatalf("%s provider view: %v", pfx, err)
+		}
+		if _, err := b.RequestDisclosure(f.ctx, "a", pfx, 1); err != nil {
+			t.Fatalf("%s promisee view: %v", pfx, err)
 		}
 	}
 }
 
-// TestPublicAPIAuditNetwork exercises the audit-network surface: an
-// engine's shard seals flow into an Auditor, an injected equivocation is
-// convicted, evidence persists through OpenLedger, and the conviction
-// gates a Pipeline.
+// TestPublicAPIGossip exercises audit gossip through the public surface:
+// a participant that seals nothing holds no statements, one
+// reconciliation with a peer's audit endpoint moves every one of the
+// peer's seal statements, and a second moves nothing new.
+func TestPublicAPIGossip(t *testing.T) {
+	f := newTestFleet(t)
+	a := f.open(64500, pvr.WithShards(2), pvr.WithGossipListen("ga"),
+		pvr.WithOriginate(pvr.MustParsePrefix("203.0.113.0/24"), pvr.MustParsePrefix("198.51.100.0/24")))
+	b := f.open(64501)
+
+	if got := b.Stats().AuditRecords; got != 0 {
+		t.Errorf("fresh participant holds %d statements", got)
+	}
+	st, err := b.Reconcile(f.ctx, "ga")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.Stats().AuditRecords
+	if want == 0 || st.NewStatements != want || b.Stats().AuditRecords != want {
+		t.Fatalf("reconcile moved %d statements, B holds %d; A holds %d", st.NewStatements, b.Stats().AuditRecords, want)
+	}
+	if st, err = b.Reconcile(f.ctx, "ga"); err != nil {
+		t.Fatal(err)
+	} else if st.NewStatements != 0 {
+		t.Fatalf("second reconcile moved %d statements, want 0", st.NewStatements)
+	}
+}
+
+// TestPublicAPIAuditNetwork exercises the audit network through the
+// public surface: A's shard seals reach B by reconciliation, an injected
+// equivocation is convicted, the evidence persists in B's ledger so a
+// participant opened on it starts convicted, and the conviction gates
+// that participant's disclosure queries to A.
 func TestPublicAPIAuditNetwork(t *testing.T) {
-	net := pvr.NewNetwork()
-	a, err := net.AddNode(64500) // the (equivocating) prover
-	if err != nil {
-		t.Fatal(err)
-	}
-	n1, err := net.AddNode(64501)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := net.AddNode(64502)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The prover seals the same epoch twice (different commitment
-	// blinding -> different roots) and shows each neighbor one set.
+	f := newTestFleet(t)
 	pfx := pvr.MustParsePrefix("203.0.113.0/24")
-	sealsOf := func() []*pvr.EngineSeal {
-		eng, err := a.NewEngine(pvr.EngineConfig{MaxLen: 8, Shards: 2, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.BeginEpoch(1)
-		ann, err := n1.Announce(a.ASN(), 1, pvr.Route{
-			Prefix:  pfx,
-			Path:    pvr.NewPath(n1.ASN()),
-			NextHop: netip.MustParseAddr("192.0.2.1"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.AcceptAnnouncement(ann); err != nil {
-			t.Fatal(err)
-		}
-		seals, err := eng.SealEpoch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return seals
+	a := f.open(64500, pvr.WithShards(2), pvr.WithOriginate(pfx),
+		pvr.WithGossipListen("ga"), pvr.WithDiscloseListen("da"))
+	ledger := t.TempDir() + "/audit.ledger"
+	b := f.open(64501, pvr.WithLedger(ledger))
+
+	if _, err := b.Reconcile(f.ctx, "ga"); err != nil {
+		t.Fatal(err)
+	}
+	// A signs a second, different payload on one of its live seal topics.
+	seals := a.Engine().Seals()
+	genuine := seals[0].Statement()
+	forged, err := a.SignStatement(genuine.Topic, append(append([]byte(nil), genuine.Payload...), 0xFF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, conflict, err := b.Auditor().AddRecord(pvr.AuditRecord{Epoch: seals[0].Epoch, S: forged}); err != nil {
+		t.Fatal(err)
+	} else if conflict == nil {
+		t.Fatal("forged seal statement not detected")
+	}
+	if !b.Auditor().Convicted(a.ASN()) || b.Stats().Convictions != 1 {
+		t.Fatalf("convictions = %+v", b.Auditor().Convictions())
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	led, recs, err := pvr.OpenLedger(t.TempDir() + "/audit.ledger")
+	c := f.open(64502, pvr.WithLedger(ledger))
+	if !c.Auditor().Convicted(a.ASN()) {
+		t.Fatal("conviction did not survive the ledger")
+	}
+	if _, err := c.QueryDisclosure(f.ctx, "da", pvr.Query{Prefix: pfx, Epoch: 1, Role: pvr.RoleObserver}); !errors.Is(err, pvr.ErrConvicted) {
+		t.Fatalf("query to a convicted prover: %v, want ErrConvicted", err)
+	}
+}
+
+// TestNetworkDuplicateASN pins duplicate-ASN handling on a shared
+// registry: a second Participant opened for a registered ASN fails with
+// ErrConfig, and the first keeps its key and its sole membership.
+func TestNetworkDuplicateASN(t *testing.T) {
+	f := newTestFleet(t)
+	first := f.open(64500)
+	if _, err := pvr.Open(f.ctx, pvr.WithASN(64500), pvr.WithTransport(f.mem), pvr.WithRegistry(f.reg)); err == nil {
+		t.Fatal("duplicate Open succeeded")
+	} else if !errors.Is(err, pvr.ErrConfig) {
+		t.Fatalf("duplicate Open error = %v, want ErrConfig", err)
+	}
+	st, err := first.SignStatement("t", []byte("still me"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer led.Close()
-	if len(recs) != 0 {
-		t.Fatalf("fresh ledger has %d records", len(recs))
+	if err := f.reg.Verify(64500, st.Payload, st.Sig); err != nil {
+		t.Fatalf("original key displaced by failed duplicate Open: %v", err)
 	}
-	aud, err := pvr.NewAuditor(pvr.AuditorConfig{
-		ASN: n2.ASN(), Registry: net.Registry(), Ledger: led,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if got := f.reg.Members(); len(got) != 1 {
+		t.Fatalf("members = %v, want just 64500", got)
 	}
-	for _, seals := range [][]*pvr.EngineSeal{sealsOf(), sealsOf()} {
-		for _, s := range seals {
-			if _, _, err := aud.AddRecord(pvr.AuditRecord{Epoch: s.Epoch, S: s.Statement()}); err != nil {
-				t.Fatal(err)
+}
+
+// TestNetworkConcurrentAddAndMembers opens Participants from many
+// goroutines against one shared registry while readers list and resolve
+// its members; run under -race this pins the registry's locking and
+// Open's atomic check-and-install of each participant's key.
+func TestNetworkConcurrentAddAndMembers(t *testing.T) {
+	f := newTestFleet(t)
+	const writers, readers, perWriter = 4, 4, 3
+
+	var (
+		writeWG, readWG sync.WaitGroup
+		mu              sync.Mutex
+		opened          []*pvr.Participant
+	)
+	for w := 0; w < writers; w++ {
+		writeWG.Add(1)
+		go func(w int) {
+			defer writeWG.Done()
+			for i := 0; i < perWriter; i++ {
+				p, err := pvr.Open(f.ctx, pvr.WithASN(pvr.ASN(1000+w*perWriter+i)),
+					pvr.WithTransport(f.mem), pvr.WithRegistry(f.reg), pvr.WithHoldTime(0))
+				if err != nil {
+					t.Errorf("Open: %v", err)
+					continue
+				}
+				mu.Lock()
+				opened = append(opened, p)
+				mu.Unlock()
 			}
-		}
+		}(w)
 	}
-	if !aud.Convicted(a.ASN()) {
-		t.Fatal("cross-shard equivocation not convicted")
+	done := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		readWG.Add(1)
+		go func() {
+			defer readWG.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				members := f.reg.Members()
+				for i := 1; i < len(members); i++ {
+					if members[i-1] >= members[i] {
+						t.Errorf("Members not strictly ascending: %v", members)
+						return
+					}
+				}
+				for _, asn := range members {
+					if _, err := f.reg.Lookup(asn); err != nil {
+						t.Errorf("listed member %s not found", asn)
+						return
+					}
+				}
+			}
+		}()
 	}
-	if len(aud.Convictions()) != 1 || aud.Convictions()[0].ASN != a.ASN() {
-		t.Fatalf("convictions = %+v", aud.Convictions())
+	writeWG.Wait()
+	close(done)
+	readWG.Wait()
+	for _, p := range opened {
+		p.Close()
 	}
 
-	pl := pvr.NewPipeline(net.Registry(), 1)
-	defer pl.Close()
-	pl.SetBanlist(aud.Convicted)
-	view := &pvr.EnginePromiseeView{Sealed: &pvr.SealedCommitment{Seal: &pvr.EngineSeal{Prover: a.ASN()}}}
-	pl.SubmitPromisee(view, n2.ASN())
-	for _, r := range pl.Drain() {
-		if r.Err == nil {
-			t.Fatal("pipeline accepted a convicted prover's view")
-		}
+	if got := len(f.reg.Members()); got != writers*perWriter {
+		t.Fatalf("members = %d, want %d", got, writers*perWriter)
 	}
 }

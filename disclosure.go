@@ -489,10 +489,10 @@ func (p *Participant) QueryDisclosure(ctx context.Context, peer string, q Query)
 	// Cross-check the fetched seal against the audit network: the seal
 	// this server showed us must be the same statement it gossips. A
 	// conflict is transferable evidence — judged, convicted, and ledgered
-	// by ObserveStatement before we report it. The view's trace (the
+	// by AddRecord before we report it. The view's trace (the
 	// seal's own chain) travels with the statement so a conviction here
 	// stitches back to the announcement that produced the seal.
-	conflict, aerr := p.auditor.ObserveStatementTraced(seal.Epoch, seal.Statement(), view.Trace)
+	_, conflict, aerr := p.auditor.AddRecord(AuditRecord{Epoch: seal.Epoch, S: seal.Statement(), Trace: view.Trace})
 	if aerr != nil {
 		return nil, wrapErr("query", aerr)
 	}

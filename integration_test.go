@@ -1,6 +1,7 @@
 package pvr_test
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func TestIntegrationSessionCarriesVerifiableAnnouncement(t *testing.T) {
 		s := bgp.NewSession(c, bgp.Open{ASN: proverASN, RouterID: 1}, bgp.SessionHooks{
 			OnUpdate: func(u bgp.Update) { got <- u },
 		})
-		_ = s.Run()
+		_ = s.Run(context.Background())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestIntegrationSessionCarriesVerifiableAnnouncement(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := bgp.NewSession(conn, bgp.Open{ASN: providerASN, RouterID: 2}, bgp.SessionHooks{})
-	go client.Run()
+	go client.Run(context.Background())
 	deadline := time.Now().Add(5 * time.Second)
 	for client.State() != bgp.StateEstablished {
 		if time.Now().After(deadline) {

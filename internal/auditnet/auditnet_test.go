@@ -10,6 +10,7 @@ import (
 	"pvr/internal/aspath"
 	"pvr/internal/gossip"
 	"pvr/internal/netx"
+	"pvr/internal/obs"
 	"pvr/internal/sigs"
 )
 
@@ -186,14 +187,14 @@ func TestForgedEvidenceRejected(t *testing.T) {
 	r1 := p.record(t, 2, 1, "t", "same")
 	r2 := p.record(t, 2, 1, "t", "same")
 	c := &gossip.Conflict{Origin: 2, Topic: "t", A: r1.S, B: r2.S}
-	if _, err := a.HandleConflict(c); err == nil {
+	if _, err := a.HandleConflict(c, obs.TraceContext{}); err == nil {
 		t.Error("identical-payload evidence accepted")
 	}
 	// Statements signed by someone other than the accused.
 	x := p.record(t, 3, 1, "t", "v1")
 	y := p.record(t, 3, 1, "t", "v2")
 	c2 := &gossip.Conflict{Origin: 2, Topic: "t", A: x.S, B: y.S}
-	if _, err := a.HandleConflict(c2); err == nil {
+	if _, err := a.HandleConflict(c2, obs.TraceContext{}); err == nil {
 		t.Error("wrong-origin evidence accepted")
 	}
 	if a.Convicted(2) || a.Store().ConflictCount() != 0 {

@@ -97,9 +97,11 @@ func (a *Auditor) ASN() aspath.ASN { return a.asn }
 // report its size).
 func (a *Auditor) Store() *Store { return a.store }
 
-// AddRecord ingests a locally produced or received statement record; a
-// detected equivocation is routed through the conviction service and the
-// returned conflict is non-nil.
+// AddRecord ingests a locally produced, gossiped or out-of-band statement
+// record — a shard seal fetched through the disclosure query plane, or one
+// carried in a BGP update's attachments. A detected equivocation is routed
+// through the conviction service and the returned conflict is non-nil:
+// judged, convicted and ledgered by the time AddRecord returns.
 func (a *Auditor) AddRecord(rec Record) (added bool, conflict *gossip.Conflict, err error) {
 	added, c, err := a.store.AddRecord(rec)
 	if added {
@@ -117,46 +119,20 @@ func (a *Auditor) AddRecord(rec Record) (added bool, conflict *gossip.Conflict, 
 	if tc.IsZero() {
 		tc = a.store.TraceOf(c.Origin, rec.Epoch, c.Topic)
 	}
-	if _, herr := a.HandleConflictTraced(c, tc); herr != nil {
+	if _, herr := a.HandleConflict(c, tc); herr != nil {
 		return added, c, herr
 	}
 	return added, c, nil
 }
 
-// ObserveStatement feeds a statement observed out-of-band — a shard seal
-// fetched through the disclosure query plane, or one carried in a BGP
-// update's attachments — into the statement pool, returning the
-// equivocation evidence if it conflicts with what gossip already holds.
-// Any returned conflict has already been judged, persisted to the ledger,
-// and convicted by the time this returns: a fetched seal that disagrees
-// with the gossiped one IS the two-faced statement the audit network
-// exists to catch.
-func (a *Auditor) ObserveStatement(epoch uint64, s gossip.Statement) (*gossip.Conflict, error) {
-	_, c, err := a.AddRecord(Record{Epoch: epoch, S: s})
-	return c, err
-}
-
-// ObserveStatementTraced is ObserveStatement under the distributed trace
-// context the statement arrived with (a seal carried in a BGP update's
-// attachments, or fetched through the disclosure plane).
-func (a *Auditor) ObserveStatementTraced(epoch uint64, s gossip.Statement, tc obs.TraceContext) (*gossip.Conflict, error) {
-	_, c, err := a.AddRecord(Record{Epoch: epoch, S: s, Trace: tc})
-	return c, err
-}
-
 // HandleConflict runs received (or locally detected) equivocation evidence
 // through the conviction service: verify both signatures from scratch,
 // dedupe, persist to the ledger, judge, and update the convicted set.
-// Returns true when the evidence was new.
-func (a *Auditor) HandleConflict(c *gossip.Conflict) (bool, error) {
-	return a.handleConflict(c, obs.TraceContext{}, true)
-}
-
-// HandleConflictTraced is HandleConflict under the distributed trace
-// context the evidence travels with; the conviction event inherits it, so
-// a fleet collector can stitch the conviction back to the announcement
-// that started the chain.
-func (a *Auditor) HandleConflictTraced(c *gossip.Conflict, tc obs.TraceContext) (bool, error) {
+// Returns true when the evidence was new. tc is the distributed trace
+// context the evidence travels with; the conviction event inherits it (a
+// zero tc falls back to the stored statement's), so a fleet collector can
+// stitch the conviction back to the announcement that started the chain.
+func (a *Auditor) HandleConflict(c *gossip.Conflict, tc obs.TraceContext) (bool, error) {
 	return a.handleConflict(c, tc, true)
 }
 
@@ -182,7 +158,7 @@ func (a *Auditor) handleConflict(c *gossip.Conflict, tc obs.TraceContext, persis
 		// equivocation evidence, but refuse to store rather than convict.
 		return false, fmt.Errorf("auditnet: evidence against %s unproven: %s", c.Origin, detail)
 	}
-	if !a.store.AddConflictTraced(c, tc) {
+	if !a.store.AddConflict(c, tc) {
 		return false, nil // raced with a concurrent ingest of the same evidence
 	}
 	if tc.IsZero() {

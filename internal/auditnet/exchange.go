@@ -1,7 +1,6 @@
 package auditnet
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -62,46 +61,12 @@ func (a *Auditor) Reconcile(c FrameConn) (*Stats, error) {
 
 // Respond runs the responder side of one anti-entropy round; a daemon
 // calls it once per accepted gossip connection.
+//
+// Neither side takes a context: an exchange blocks only on the
+// connection, so a caller bounds it by closing the connection when its
+// context ends (context.AfterFunc), and the blocked frame read returns.
 func (a *Auditor) Respond(c FrameConn) (*Stats, error) {
 	return a.exchange(c, false)
-}
-
-// ReconcileContext is Reconcile bounded by a context: when ctx ends
-// mid-exchange the connection is torn down (if it exposes Close) so the
-// blocked frame read returns, and ctx.Err() is reported.
-func (a *Auditor) ReconcileContext(ctx context.Context, c FrameConn) (*Stats, error) {
-	return a.exchangeContext(ctx, c, true)
-}
-
-// RespondContext is Respond bounded by a context, with the same teardown
-// semantics as ReconcileContext.
-func (a *Auditor) RespondContext(ctx context.Context, c FrameConn) (*Stats, error) {
-	return a.exchangeContext(ctx, c, false)
-}
-
-func (a *Auditor) exchangeContext(ctx context.Context, c FrameConn, initiator bool) (*Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if ctx.Done() == nil {
-		return a.exchange(c, initiator)
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			if closer, ok := c.(interface{ Close() error }); ok {
-				_ = closer.Close()
-			}
-		case <-stop:
-		}
-	}()
-	st, err := a.exchange(c, initiator)
-	if cerr := ctx.Err(); cerr != nil && err != nil {
-		return st, cerr
-	}
-	return st, err
 }
 
 // xfer is one ping-pong step: the initiator sends then receives, the
@@ -320,7 +285,7 @@ func (a *Auditor) exchange(c FrameConn, initiator bool) (*Stats, error) {
 		peerKnows[k] = struct{}{}
 	}
 	buildConfl := func() netx.Frame {
-		out, traces := a.store.ServeConflictsTraced(peerWant.Conflicts)
+		out, traces := a.store.ServeConflicts(peerWant.Conflicts)
 		seen := make(map[Hash]struct{}, len(out))
 		for _, c := range out {
 			seen[ConflictKey(c)] = struct{}{}
@@ -351,7 +316,7 @@ func (a *Auditor) exchange(c FrameConn, initiator bool) (*Stats, error) {
 		st.ConflictsRecv += len(cm.Conflicts)
 		for i, c := range cm.Conflicts {
 			peerKnows[ConflictKey(c)] = struct{}{}
-			isNew, err := a.HandleConflictTraced(c, cm.traceAt(i))
+			isNew, err := a.HandleConflict(c, cm.traceAt(i))
 			if err != nil {
 				st.Rejected++
 				continue

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pvr/internal/gossip"
+	"pvr/internal/obs"
 )
 
 // makeConflict builds judge-ready equivocation evidence: the accused
@@ -97,7 +98,7 @@ func TestLedgerReplayToleratesDuplicatedTrailingRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := makeConflict(t, p, "seal/2/9.1/0")
-	if added, err := a.HandleConflict(c); err != nil || !added {
+	if added, err := a.HandleConflict(c, obs.TraceContext{}); err != nil || !added {
 		t.Fatalf("HandleConflict = (%v, %v)", added, err)
 	}
 	if err := led.Close(); err != nil {
@@ -135,7 +136,7 @@ func TestLedgerReplayToleratesDuplicatedTrailingRecord(t *testing.T) {
 		t.Fatalf("duplicate record stored %d conflicts, want 1", got)
 	}
 	// And the recovered ledger still appends cleanly.
-	if added, err := a2.HandleConflict(makeConflict(t, p, "seal/2/9.2/0")); err != nil || !added {
+	if added, err := a2.HandleConflict(makeConflict(t, p, "seal/2/9.2/0"), obs.TraceContext{}); err != nil || !added {
 		t.Fatalf("append after recovery = (%v, %v)", added, err)
 	}
 }
@@ -155,7 +156,7 @@ func TestLedgerReplayToleratesTornAndDuplicatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.HandleConflict(makeConflict(t, p, "seal/2/1.1/0")); err != nil {
+	if _, err := a.HandleConflict(makeConflict(t, p, "seal/2/1.1/0"), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	led.Close()
@@ -198,7 +199,7 @@ func TestLedgerTamperWithFixedCRCFailsAuditorReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.HandleConflict(makeConflict(t, p, "seal/2/3.1/0")); err != nil {
+	if _, err := a.HandleConflict(makeConflict(t, p, "seal/2/3.1/0"), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	led.Close()

@@ -147,16 +147,11 @@ func (st *Store) HasConflict(key Hash) bool {
 // AddConflict stores verified equivocation evidence and poisons its topic,
 // removing the stored statement (the conflict record itself preserves both
 // versions). The caller verifies the conflict first. Returns false when
-// the evidence was already known.
-func (st *Store) AddConflict(c *gossip.Conflict) bool {
-	return st.AddConflictTraced(c, obs.TraceContext{})
-}
-
-// AddConflictTraced is AddConflict with the distributed trace context the
+// the evidence was already known. tc is the distributed trace context the
 // evidence travels under; a zero tc falls back to the trace of the stored
 // statement the conflict displaces, so a locally detected equivocation
 // stitches to the announcement that triggered it.
-func (st *Store) AddConflictTraced(c *gossip.Conflict, tc obs.TraceContext) bool {
+func (st *Store) AddConflict(c *gossip.Conflict, tc obs.TraceContext) bool {
 	key := ConflictKey(c)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -483,15 +478,10 @@ func (st *Store) Serve(wants []GroupWant) []Record {
 	return out
 }
 
-// ServeConflicts answers conflict-key wants from the stored evidence.
-func (st *Store) ServeConflicts(keys []Hash) []*gossip.Conflict {
-	out, _ := st.ServeConflictsTraced(keys)
-	return out
-}
-
-// ServeConflictsTraced is ServeConflicts plus the parallel trace contexts
-// stored alongside the evidence (zero entries where untraced).
-func (st *Store) ServeConflictsTraced(keys []Hash) ([]*gossip.Conflict, []obs.TraceContext) {
+// ServeConflicts answers conflict-key wants from the stored evidence, with
+// the parallel trace contexts stored alongside it (zero entries where
+// untraced).
+func (st *Store) ServeConflicts(keys []Hash) ([]*gossip.Conflict, []obs.TraceContext) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	var out []*gossip.Conflict

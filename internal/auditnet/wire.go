@@ -234,82 +234,6 @@ func DecodeConflict(b []byte) (*gossip.Conflict, error) {
 	return c, r.Done()
 }
 
-// --- trace extensions ---
-//
-// Trace contexts ride as trailing netx extensions so every fixed message
-// layout is byte-identical to the pre-tracing protocol when no trace is
-// present, and decoders that do not recognise the tags skip them.
-
-// appendTraceListExt appends an ExtTraceList block carrying the non-zero
-// entries of traces as (element index, context) pairs; no block is
-// emitted when every entry is zero.
-func appendTraceListExt(b []byte, traces []obs.TraceContext) []byte {
-	nz := 0
-	for _, tc := range traces {
-		if !tc.IsZero() {
-			nz++
-		}
-	}
-	if nz == 0 {
-		return b
-	}
-	body := netx.AppendU32(make([]byte, 0, 4+nz*(4+obs.TraceWireSize)), uint32(nz))
-	for i, tc := range traces {
-		if tc.IsZero() {
-			continue
-		}
-		body = netx.AppendU32(body, uint32(i))
-		body = tc.AppendWire(body)
-	}
-	return netx.AppendExt(b, netx.ExtTraceList, body)
-}
-
-// decodeTraceListExt parses an ExtTraceList body into a dense slice of n
-// contexts (zero where absent). Out-of-range indices are ignored rather
-// than rejected: the extension is advisory metadata.
-func decodeTraceListExt(body []byte, n int) ([]obs.TraceContext, error) {
-	r := &netx.PayloadReader{B: body}
-	cnt, err := r.Count(4 + obs.TraceWireSize)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]obs.TraceContext, n)
-	for i := 0; i < cnt; i++ {
-		idx, err := r.U32()
-		if err != nil {
-			return nil, err
-		}
-		tb, err := r.Take(obs.TraceWireSize)
-		if err != nil {
-			return nil, err
-		}
-		tc, err := obs.TraceContextFromWire(tb)
-		if err != nil {
-			return nil, err
-		}
-		if int(idx) < n {
-			out[idx] = tc
-		}
-	}
-	return out, r.Done()
-}
-
-// readTraceExts consumes every trailing extension, capturing an
-// ExtTraceList into a dense n-slot slice (nil when absent) and skipping
-// unknown tags.
-func readTraceExts(r *netx.PayloadReader, n int) ([]obs.TraceContext, error) {
-	var traces []obs.TraceContext
-	err := netx.ReadExts(r, func(tag uint8, body []byte) error {
-		if tag != netx.ExtTraceList {
-			return nil
-		}
-		var derr error
-		traces, derr = decodeTraceListExt(body, n)
-		return derr
-	})
-	return traces, err
-}
-
 // --- reconciliation messages ---
 
 // GroupKey addresses one digest group: every statement an origin made for
@@ -343,10 +267,7 @@ func (m *summaryMsg) encode() []byte {
 	b = append(b, m.Conflicts[:]...)
 	b = netx.AppendU32(b, m.Groups)
 	b = netx.AppendU32(b, m.NConfl)
-	if !m.Trace.IsZero() {
-		b = netx.AppendExt(b, netx.ExtTrace, m.Trace.AppendWire(nil))
-	}
-	return b
+	return netx.AppendTraceExt(b, m.Trace)
 }
 
 func decodeSummary(b []byte) (*summaryMsg, error) {
@@ -365,18 +286,7 @@ func decodeSummary(b []byte) (*summaryMsg, error) {
 	if m.NConfl, err = r.U32(); err != nil {
 		return nil, err
 	}
-	err = netx.ReadExts(r, func(tag uint8, body []byte) error {
-		if tag != netx.ExtTrace {
-			return nil
-		}
-		tc, terr := obs.TraceContextFromWire(body)
-		if terr != nil {
-			return terr
-		}
-		m.Trace = tc
-		return nil
-	})
-	if err != nil {
+	if m.Trace, err = netx.ReadTraceExt(r); err != nil {
 		return nil, err
 	}
 	return &m, r.Done()
@@ -592,7 +502,7 @@ func (m *stmtsMsg) encode() []byte {
 	for i := range m.Records {
 		traces[i] = m.Records[i].Trace
 	}
-	return appendTraceListExt(b, traces)
+	return netx.AppendTraceListExt(b, traces)
 }
 
 func decodeStmts(b []byte) (*stmtsMsg, error) {
@@ -607,7 +517,7 @@ func decodeStmts(b []byte) (*stmtsMsg, error) {
 			return nil, err
 		}
 	}
-	traces, err := readTraceExts(r, n)
+	traces, err := netx.ReadTraceListExt(r, n)
 	if err != nil {
 		return nil, err
 	}
@@ -637,7 +547,7 @@ func (m *conflMsg) encode() []byte {
 	for _, c := range m.Conflicts {
 		b = netx.AppendBytes(b, EncodeConflict(c))
 	}
-	return appendTraceListExt(b, m.Traces)
+	return netx.AppendTraceListExt(b, m.Traces)
 }
 
 func decodeConfl(b []byte) (*conflMsg, error) {
@@ -656,7 +566,7 @@ func decodeConfl(b []byte) (*conflMsg, error) {
 			return nil, err
 		}
 	}
-	if m.Traces, err = readTraceExts(r, n); err != nil {
+	if m.Traces, err = netx.ReadTraceListExt(r, n); err != nil {
 		return nil, err
 	}
 	return m, r.Done()

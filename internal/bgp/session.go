@@ -104,35 +104,19 @@ func (s *Session) setState(st SessionState) {
 	s.mu.Unlock()
 }
 
-// RunContext is Run bounded by a context: when ctx is cancelled the
-// session closes cleanly (CEASE, then transport teardown) and RunContext
-// returns nil, exactly as if Close had been called. The watcher goroutine
-// is released when the session ends for any other reason.
-func (s *Session) RunContext(ctx context.Context) error {
-	if ctx.Done() == nil {
-		return s.Run()
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.Close()
-		case <-stop:
-		}
-	}()
-	return s.Run()
-}
-
 // Run performs the handshake and then pumps inbound messages until the
-// session ends; it returns the terminal error (nil on clean Close). Run
-// blocks; callers usually invoke it on its own goroutine.
-func (s *Session) Run() error {
+// session ends; it returns the terminal error (nil on clean Close). When
+// ctx ends the session is Closed (CEASE, then transport teardown) and Run
+// returns nil, exactly as if Close had been called. Run blocks; callers
+// usually invoke it on its own goroutine.
+func (s *Session) Run(ctx context.Context) error {
+	stop := context.AfterFunc(ctx, s.Close)
+	defer stop()
 	err := s.handshake()
 	if err != nil {
-		// A Close (or RunContext cancellation) racing the handshake makes
-		// Recv fail with a raw transport error; report the session closure
-		// the caller itself initiated, exactly as pump does.
+		// A Close (or ctx ending) racing the handshake makes Recv fail
+		// with a raw transport error; report the session closure the
+		// caller itself initiated, exactly as pump does.
 		select {
 		case <-s.closed:
 			err = ErrSessionClosed

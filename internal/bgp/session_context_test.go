@@ -8,7 +8,7 @@ import (
 	"pvr/internal/netx"
 )
 
-// TestRunContextCancelClosesSession verifies RunContext tears the session
+// TestRunContextCancelClosesSession verifies Run tears the session
 // down cleanly — CEASE then transport close, a nil return — when its
 // context is cancelled mid-session.
 func TestRunContextCancelClosesSession(t *testing.T) {
@@ -17,8 +17,8 @@ func TestRunContextCancelClosesSession(t *testing.T) {
 	sa := NewSession(ca, Open{ASN: 64500, RouterID: 1}, SessionHooks{})
 	sb := NewSession(cb, Open{ASN: 64501, RouterID: 2}, SessionHooks{})
 	doneA := make(chan error, 1)
-	go func() { doneA <- sa.RunContext(ctx) }()
-	go func() { _ = sb.Run() }()
+	go func() { doneA <- sa.Run(ctx) }()
+	go func() { _ = sb.Run(context.Background()) }()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for sa.State() != StateEstablished {
@@ -31,10 +31,10 @@ func TestRunContextCancelClosesSession(t *testing.T) {
 	select {
 	case err := <-doneA:
 		if err != nil {
-			t.Fatalf("RunContext after cancel = %v, want nil (clean close)", err)
+			t.Fatalf("Run after cancel = %v, want nil (clean close)", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunContext did not return after cancel")
+		t.Fatal("Run did not return after cancel")
 	}
 	if sa.State() != StateClosed {
 		t.Fatalf("state after cancel = %s, want Closed", sa.State())
@@ -43,7 +43,7 @@ func TestRunContextCancelClosesSession(t *testing.T) {
 
 // TestRunContextCancelDuringHandshake pins the clean-close contract for
 // a cancellation that lands before the session ever establishes: the
-// peer never answers the OPEN, ctx is cancelled, and RunContext must
+// peer never answers the OPEN, ctx is cancelled, and Run must
 // still return nil rather than the raw transport error.
 func TestRunContextCancelDuringHandshake(t *testing.T) {
 	ca, cb := netx.Pipe()
@@ -51,29 +51,29 @@ func TestRunContextCancelDuringHandshake(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := NewSession(ca, Open{ASN: 64500, RouterID: 1}, SessionHooks{})
 	done := make(chan error, 1)
-	go func() { done <- s.RunContext(ctx) }()
+	go func() { done <- s.Run(ctx) }()
 	time.Sleep(10 * time.Millisecond) // let the handshake block on Recv
 	cancel()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("RunContext cancelled mid-handshake = %v, want nil (clean close)", err)
+			t.Fatalf("Run cancelled mid-handshake = %v, want nil (clean close)", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunContext did not return after cancel during handshake")
+		t.Fatal("Run did not return after cancel during handshake")
 	}
 }
 
-// TestRunContextBackgroundEquivalent pins that a Done-less context takes
-// the plain Run path (no watcher goroutine) and still ends normally on
-// peer close.
+// TestRunContextBackgroundEquivalent pins that a session run under a
+// context that never ends (nothing for AfterFunc to watch) still ends
+// normally on Close.
 func TestRunContextBackgroundEquivalent(t *testing.T) {
 	ca, cb := netx.Pipe()
 	sa := NewSession(ca, Open{ASN: 64500, RouterID: 1}, SessionHooks{})
 	sb := NewSession(cb, Open{ASN: 64501, RouterID: 2}, SessionHooks{})
 	doneA := make(chan error, 1)
-	go func() { doneA <- sa.RunContext(context.Background()) }()
-	go func() { _ = sb.Run() }()
+	go func() { doneA <- sa.Run(context.Background()) }()
+	go func() { _ = sb.Run(context.Background()) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for sa.State() != StateEstablished {
 		if time.Now().After(deadline) {
@@ -85,9 +85,9 @@ func TestRunContextBackgroundEquivalent(t *testing.T) {
 	select {
 	case err := <-doneA:
 		if err != nil {
-			t.Fatalf("RunContext after Close = %v, want nil", err)
+			t.Fatalf("Run after Close = %v, want nil", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunContext did not return after Close")
+		t.Fatal("Run did not return after Close")
 	}
 }

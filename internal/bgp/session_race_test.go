@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"context"
 	"errors"
 	"net/netip"
 	"sync"
@@ -20,8 +21,8 @@ func establishPair(t *testing.T) (*Session, *Session) {
 	ca, cb := netx.Pipe()
 	a := NewSession(ca, Open{ASN: 64500, RouterID: 1}, SessionHooks{})
 	b := NewSession(cb, Open{ASN: 64501, RouterID: 2}, SessionHooks{})
-	go func() { _ = a.Run() }()
-	go func() { _ = b.Run() }()
+	go func() { _ = a.Run(context.Background()) }()
+	go func() { _ = b.Run(context.Background()) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for a.State() != StateEstablished || b.State() != StateEstablished {
 		if time.Now().After(deadline) {

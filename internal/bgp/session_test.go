@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -21,8 +22,8 @@ func startPair(t *testing.T, holdA, holdB uint16) (sa, sb *Session, gotA, gotB c
 		OnUpdate: func(u Update) { gotB <- u },
 	})
 	doneA, doneB = make(chan error, 1), make(chan error, 1)
-	go func() { doneA <- sa.Run() }()
-	go func() { doneB <- sb.Run() }()
+	go func() { doneA <- sa.Run(context.Background()) }()
+	go func() { doneB <- sb.Run(context.Background()) }()
 	return
 }
 
@@ -79,8 +80,8 @@ func TestSessionEstablishedHook(t *testing.T) {
 		OnEstablished: func(o Open) { est <- o },
 	})
 	sb := NewSession(cb, Open{ASN: 2, RouterID: 2}, SessionHooks{})
-	go sa.Run()
-	go sb.Run()
+	go sa.Run(context.Background())
+	go sb.Run(context.Background())
 	select {
 	case o := <-est:
 		if o.ASN != 2 {
@@ -105,7 +106,7 @@ func TestSessionRejectsNonOpenFirst(t *testing.T) {
 	ca, cb := netx.Pipe()
 	s := NewSession(ca, Open{ASN: 1}, SessionHooks{})
 	done := make(chan error, 1)
-	go func() { done <- s.Run() }()
+	go func() { done <- s.Run(context.Background()) }()
 	// Peer sends KEEPALIVE instead of OPEN.
 	go func() {
 		_, _ = cb.Recv() // absorb A's OPEN
@@ -160,7 +161,7 @@ func TestSessionOverTCP(t *testing.T) {
 			OnUpdate: func(u Update) { updates <- u },
 		})
 		accepted <- s
-		_ = s.Run()
+		_ = s.Run(context.Background())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestSessionOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := NewSession(conn, Open{ASN: 65002, HoldTime: 3, RouterID: 10}, SessionHooks{})
-	go client.Run()
+	go client.Run(context.Background())
 	waitEstablished(t, client)
 
 	u := Update{Withdrawn: []prefix.Prefix{prefix.MustParse("10.0.0.0/8")}}

@@ -73,7 +73,7 @@ func (ec *ExistsCommitment) GossipTopic() string {
 	return "exists/" + VectorID(ec.Prover, ec.Prefix, ec.Epoch)
 }
 
-// GossipPayload returns canonical bytes plus signature for the gossip pool.
+// GossipPayload returns canonical bytes plus signature for gossip.
 func (ec *ExistsCommitment) GossipPayload() ([]byte, []byte, error) {
 	b, err := ec.bytes()
 	return b, ec.Sig, err

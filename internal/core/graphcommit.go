@@ -56,7 +56,7 @@ func (gc *GraphCommitment) GossipTopic() string {
 	return fmt.Sprintf("graph/%d/%d", uint32(gc.Prover), gc.Epoch)
 }
 
-// GossipPayload returns canonical bytes plus signature for the gossip pool.
+// GossipPayload returns canonical bytes plus signature for gossip.
 func (gc *GraphCommitment) GossipPayload() ([]byte, []byte, error) {
 	return gc.bytes(), gc.Sig, nil
 }

@@ -146,7 +146,7 @@ func (mc *MinCommitment) GossipTopic() string {
 }
 
 // GossipPayload returns the canonical signed bytes plus signature for the
-// gossip pool.
+// audit gossip.
 func (mc *MinCommitment) GossipPayload() ([]byte, []byte, error) {
 	b, err := mc.bytes()
 	return b, mc.Sig, err

@@ -13,6 +13,7 @@ import (
 	"pvr/internal/core"
 	"pvr/internal/engine"
 	"pvr/internal/netx"
+	"pvr/internal/obs"
 	"pvr/internal/prefix"
 	"pvr/internal/route"
 	"pvr/internal/sigs"
@@ -66,7 +67,7 @@ func newFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.AcceptAnnouncement(f.ann); err != nil {
+	if _, err := eng.AcceptAnnouncement(f.ann, obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SealEpoch(); err != nil {
@@ -154,7 +155,7 @@ func TestSealedExportPromiseeQueryVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.BeginEpoch(1)
-	if _, err := eng.AcceptAnnouncement(f.ann); err != nil {
+	if _, err := eng.AcceptAnnouncement(f.ann, obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SealEpoch(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"pvr/internal/core"
 	"pvr/internal/engine"
 	"pvr/internal/netx"
+	"pvr/internal/obs"
 	"pvr/internal/prefix"
 	"pvr/internal/privplane"
 	"pvr/internal/route"
@@ -80,7 +81,7 @@ func newPrivFixture(t testing.TB) *privFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.AcceptAnnouncement(a); err != nil {
+		if _, err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 		f.anns[asn] = a

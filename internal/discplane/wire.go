@@ -71,31 +71,6 @@ import (
 	"pvr/internal/zkp"
 )
 
-// readTraceExt consumes every trailing extension, capturing an ExtTrace
-// context into dst and skipping unknown tags — the forward-compatibility
-// path for frames from newer peers.
-func readTraceExt(r *netx.PayloadReader, dst *obs.TraceContext) error {
-	return netx.ReadExts(r, func(tag uint8, body []byte) error {
-		if tag != netx.ExtTrace {
-			return nil
-		}
-		tc, err := obs.TraceContextFromWire(body)
-		if err != nil {
-			return err
-		}
-		*dst = tc
-		return nil
-	})
-}
-
-// appendTraceExt appends an ExtTrace block when tc is set.
-func appendTraceExt(b []byte, tc obs.TraceContext) []byte {
-	if tc.IsZero() {
-		return b
-	}
-	return netx.AppendExt(b, netx.ExtTrace, tc.AppendWire(nil))
-}
-
 // Frame types of the disclosure query protocol, carried in
 // netx.Frame.Type. The range is disjoint from the audit anti-entropy
 // frames (0x41–0x44) so a connection wired to the wrong endpoint fails
@@ -364,7 +339,7 @@ func (q *Query) Encode() ([]byte, error) {
 	b = netx.AppendBytes(b, pb)
 	b = append(b, q.Nonce[:]...)
 	b = netx.AppendBytes(b, q.Sig)
-	return appendTraceExt(b, q.Trace), nil
+	return netx.AppendTraceExt(b, q.Trace), nil
 }
 
 // DecodeQuery decodes an Encode payload (exact length).
@@ -408,7 +383,7 @@ func DecodeQuery(b []byte) (*Query, error) {
 	if len(sig) > 0 {
 		q.Sig = append([]byte(nil), sig...)
 	}
-	if err := readTraceExt(r, &q.Trace); err != nil {
+	if q.Trace, err = netx.ReadTraceExt(r); err != nil {
 		return nil, err
 	}
 	return &q, r.Done()
@@ -528,7 +503,7 @@ func (q *AnonQuery) Encode() ([]byte, error) {
 	}
 	b = append(b, q.Nonce[:]...)
 	b = netx.AppendBytes(b, q.Sig)
-	return appendTraceExt(b, q.Trace), nil
+	return netx.AppendTraceExt(b, q.Trace), nil
 }
 
 // DecodeAnonQuery decodes an Encode payload (exact length). Structure
@@ -584,7 +559,7 @@ func DecodeAnonQuery(b []byte) (*AnonQuery, error) {
 	if len(sig) > 0 {
 		q.Sig = append([]byte(nil), sig...)
 	}
-	if err := readTraceExt(r, &q.Trace); err != nil {
+	if q.Trace, err = netx.ReadTraceExt(r); err != nil {
 		return nil, err
 	}
 	return &q, r.Done()
@@ -650,7 +625,7 @@ func (d *Denial) Is(target error) bool {
 func (d *Denial) Encode() []byte {
 	b := append(netx.GetBuf(64), uint8(d.Code))
 	b = netx.AppendBytes(b, []byte(d.Detail))
-	return appendTraceExt(b, d.Trace)
+	return netx.AppendTraceExt(b, d.Trace)
 }
 
 // DecodeDenial decodes an Encode payload (exact length).
@@ -668,7 +643,7 @@ func DecodeDenial(b []byte) (*Denial, error) {
 		return nil, fmt.Errorf("%w: oversized denial detail", ErrWire)
 	}
 	d := &Denial{Code: DenyCode(code), Detail: string(detail)}
-	if err := readTraceExt(r, &d.Trace); err != nil {
+	if d.Trace, err = netx.ReadTraceExt(r); err != nil {
 		return nil, err
 	}
 	return d, r.Done()
@@ -817,7 +792,7 @@ func (v *View) Encode() ([]byte, error) {
 	// Sized exactly: the server keeps an encoding for as long as its window
 	// lasts, and a buffer grown by doubling would keep up to as much again
 	// unused behind each.
-	return bytes.Clone(appendTraceExt(b, v.Trace)), nil
+	return bytes.Clone(netx.AppendTraceExt(b, v.Trace)), nil
 }
 
 // DecodeView decodes an Encode payload (exact length), reconstructing the
@@ -969,7 +944,7 @@ func DecodeView(b []byte) (*View, error) {
 		}
 		v.ZKProof = vp
 	}
-	if err := readTraceExt(r, &v.Trace); err != nil {
+	if v.Trace, err = netx.ReadTraceExt(r); err != nil {
 		return nil, err
 	}
 	return v, r.Done()

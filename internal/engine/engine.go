@@ -282,18 +282,11 @@ func (e *ProverEngine) shardOf(pfx prefix.Prefix) (*shard, uint32, error) {
 
 // AcceptAnnouncement verifies and records an input route for its prefix,
 // returning the prover's signed receipt. Concurrent calls for prefixes in
-// different shards proceed in parallel. A fresh trace context is minted
-// for the announcement; use AcceptAnnouncementTraced to continue one
-// propagated from upstream.
-func (e *ProverEngine) AcceptAnnouncement(a core.Announcement) (core.Receipt, error) {
-	return e.AcceptAnnouncementTraced(a, obs.TraceContext{})
-}
-
-// AcceptAnnouncementTraced is AcceptAnnouncement under an explicit
-// distributed trace context; a zero tc mints a fresh trace. On success the
+// different shards proceed in parallel. tc is the distributed trace the
+// announcement continues; a zero tc mints a fresh trace. On success the
 // prefix's shard remembers tc, so the next seal of that shard (and every
 // downstream gossip/conviction event) stitches back to this ingestion.
-func (e *ProverEngine) AcceptAnnouncementTraced(a core.Announcement, tc obs.TraceContext) (core.Receipt, error) {
+func (e *ProverEngine) AcceptAnnouncement(a core.Announcement, tc obs.TraceContext) (core.Receipt, error) {
 	t0 := time.Now()
 	if tc.IsZero() {
 		tc = obs.NewTraceContext()
@@ -630,17 +623,13 @@ func (e *ProverEngine) sealShardLocked(idx uint32, s *shard, window uint64) erro
 // SealDirty re-commits it. Unlike AcceptAnnouncement it is legal after a
 // seal — the shard is un-sealed until the next SealDirty, and disclosures
 // for its prefixes fail in between (the published seal no longer matches
-// the mutated state). An empty candidate set removes the prefix.
-func (e *ProverEngine) ReplacePrefix(pfx prefix.Prefix, anns []core.Announcement) error {
-	return e.ReplacePrefixTraced(pfx, anns, obs.TraceContext{})
-}
-
-// ReplacePrefixTraced is ReplacePrefix under an explicit distributed trace
-// context (a zero tc mints a fresh trace) — the streaming update plane
-// passes the trace carried by the churn event that triggered the swap.
-func (e *ProverEngine) ReplacePrefixTraced(pfx prefix.Prefix, anns []core.Announcement, tc obs.TraceContext) error {
+// the mutated state). An empty candidate set removes the prefix. tc is the
+// distributed trace (a zero tc mints a fresh one): the streaming update
+// plane passes the trace carried by the churn event that triggered the
+// swap.
+func (e *ProverEngine) ReplacePrefix(pfx prefix.Prefix, anns []core.Announcement, tc obs.TraceContext) error {
 	if len(anns) == 0 {
-		_, err := e.RemovePrefixTraced(pfx, tc)
+		_, err := e.RemovePrefix(pfx, tc)
 		return err
 	}
 	if tc.IsZero() {
@@ -695,14 +684,9 @@ func (e *ProverEngine) ReplacePrefixTraced(pfx prefix.Prefix, anns []core.Announ
 
 // RemovePrefix withdraws a prefix from the table (streaming path),
 // reporting whether it was present. Like ReplacePrefix it dirties the
-// shard and un-seals it until the next SealDirty.
-func (e *ProverEngine) RemovePrefix(pfx prefix.Prefix) (bool, error) {
-	return e.RemovePrefixTraced(pfx, obs.TraceContext{})
-}
-
-// RemovePrefixTraced is RemovePrefix under an explicit distributed trace
-// context; a zero tc mints a fresh trace for the withdrawal.
-func (e *ProverEngine) RemovePrefixTraced(pfx prefix.Prefix, tc obs.TraceContext) (bool, error) {
+// shard and un-seals it until the next SealDirty. A zero tc mints a fresh
+// trace for the withdrawal.
+func (e *ProverEngine) RemovePrefix(pfx prefix.Prefix, tc obs.TraceContext) (bool, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if !e.begun {

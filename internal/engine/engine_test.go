@@ -7,6 +7,7 @@ import (
 
 	"pvr/internal/aspath"
 	"pvr/internal/core"
+	"pvr/internal/obs"
 	"pvr/internal/prefix"
 	"pvr/internal/route"
 	"pvr/internal/sigs"
@@ -94,7 +95,7 @@ func TestResumeEpochNeverReusesRecoveredWindow(t *testing.T) {
 		t.Fatalf("Window after resume = %d, want 5", got)
 	}
 	pfx := prefix.V4(10, 0, 0, 0, 24)
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 7, pfx, 2)); err != nil {
+	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 7, pfx, 2), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	seals, err := eng.SealEpoch()
@@ -119,7 +120,7 @@ func TestResumeEpochNeverReusesRecoveredWindow(t *testing.T) {
 	// A plain BeginEpoch clears the resumed state: window restarts at 0
 	// and the first seal takes the fresh-epoch path.
 	eng.BeginEpoch(8)
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 8, pfx, 2)); err != nil {
+	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 8, pfx, 2), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	seals, err = eng.SealEpoch()
@@ -143,7 +144,7 @@ func TestEngineEndToEnd(t *testing.T) {
 	for i, pfx := range testPrefixes(t, nPfx) {
 		for j := 0; j < k; j++ {
 			a := e.announce(t, aspath.ASN(101+j), 7, pfx, 1+(i+j)%16)
-			rc, err := eng.AcceptAnnouncement(a)
+			rc, err := eng.AcceptAnnouncement(a, obs.TraceContext{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +223,7 @@ func TestEnginePipelineVerifiesAll(t *testing.T) {
 	for i, pfx := range testPrefixes(t, nPfx) {
 		for j := 0; j < k; j++ {
 			a := e.announce(t, aspath.ASN(101+j), 1, pfx, 1+(i+j)%12)
-			if _, err := eng.AcceptAnnouncement(a); err != nil {
+			if _, err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 				t.Fatal(err)
 			}
 			anns[pfx] = append(anns[pfx], a)
@@ -269,7 +270,7 @@ func TestEngineDetectsTampering(t *testing.T) {
 	a1 := e.announce(t, 101, 3, pfx, 2)
 	a2 := e.announce(t, 102, 3, pfx, 5)
 	for _, a := range []core.Announcement{a1, a2} {
-		if _, err := eng.AcceptAnnouncement(a); err != nil {
+		if _, err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,7 +348,7 @@ func TestEngineEpochLifecycle(t *testing.T) {
 	eng := e.engine(t, 2, 8)
 	pfx := prefix.MustParse("203.0.113.0/24")
 
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 2)); err == nil {
+	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 2), obs.TraceContext{}); err == nil {
 		t.Fatal("accept before BeginEpoch succeeded")
 	}
 	if _, err := eng.SealEpoch(); err == nil {
@@ -355,13 +356,13 @@ func TestEngineEpochLifecycle(t *testing.T) {
 	}
 
 	eng.BeginEpoch(1)
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 2)); err != nil {
+	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 2), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SealEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 3)); err == nil {
+	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 3), obs.TraceContext{}); err == nil {
 		t.Fatal("accept after seal succeeded")
 	}
 	// Sealing twice is idempotent.
@@ -379,10 +380,10 @@ func TestEngineEpochLifecycle(t *testing.T) {
 
 	// Announcements from the wrong epoch are rejected.
 	eng.BeginEpoch(2)
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 2)); !errors.Is(err, core.ErrWrongEpoch) {
+	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 2), obs.TraceContext{}); !errors.Is(err, core.ErrWrongEpoch) {
 		t.Fatalf("want ErrWrongEpoch, got %v", err)
 	}
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 2, pfx, 2)); err != nil {
+	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 2, pfx, 2), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -392,7 +393,7 @@ func TestSealRoundTrip(t *testing.T) {
 	eng := e.engine(t, 1, 8)
 	eng.BeginEpoch(9)
 	pfx := prefix.MustParse("203.0.113.0/24")
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 9, pfx, 2)); err != nil {
+	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 9, pfx, 2), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	seals, err := eng.SealEpoch()

@@ -9,6 +9,7 @@ import (
 	"pvr/internal/aspath"
 	"pvr/internal/core"
 	"pvr/internal/engine"
+	"pvr/internal/obs"
 	"pvr/internal/prefix"
 	"pvr/internal/route"
 	"pvr/internal/sigs"
@@ -53,7 +54,7 @@ func ExampleProverEngine() {
 			NextHop: netip.MustParseAddr("192.0.2.1"),
 		})
 		check(err)
-		_, err = eng.AcceptAnnouncement(ann)
+		_, err = eng.AcceptAnnouncement(ann, obs.TraceContext{})
 		check(err)
 		inputs = append(inputs, ann)
 	}

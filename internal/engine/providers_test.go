@@ -6,6 +6,7 @@ import (
 
 	"pvr/internal/aspath"
 	"pvr/internal/core"
+	"pvr/internal/obs"
 	"pvr/internal/prefix"
 	"pvr/internal/route"
 	"pvr/internal/sigs"
@@ -40,7 +41,7 @@ func TestProviders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.AcceptAnnouncement(a); err != nil {
+		if _, err := e.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}

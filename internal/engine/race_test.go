@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"pvr/internal/aspath"
+	"pvr/internal/auditnet"
 	"pvr/internal/core"
 	"pvr/internal/evidence"
 	"pvr/internal/gossip"
+	"pvr/internal/obs"
 	"pvr/internal/prefix"
 )
 
@@ -42,7 +44,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(anns); i += writers {
-				if _, err := eng.AcceptAnnouncement(anns[i]); err != nil {
+				if _, err := eng.AcceptAnnouncement(anns[i], obs.TraceContext{}); err != nil {
 					errCh <- err
 					return
 				}
@@ -144,7 +146,7 @@ func TestEngineAcceptRacesSeal(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(anns); i += 4 {
-				_, err := eng.AcceptAnnouncement(anns[i])
+				_, err := eng.AcceptAnnouncement(anns[i], obs.TraceContext{})
 				switch {
 				case err == nil:
 					accepted[i] = true
@@ -218,7 +220,7 @@ func TestCrossShardEquivocationDetection(t *testing.T) {
 		eng := e.engine(t, 4, 8)
 		eng.BeginEpoch(1)
 		for i, pfx := range pfxs {
-			if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 1+i%8)); err != nil {
+			if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 1+i%8), obs.TraceContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -270,19 +272,9 @@ func TestCrossShardEquivocationDetection(t *testing.T) {
 		t.Fatalf("Y's view: %v", err)
 	}
 
-	// Each neighbor pools the seal set it was served, then they gossip.
-	poolX, poolY := gossip.NewPool(e.reg), gossip.NewPool(e.reg)
-	for _, s := range tableA.Seals() {
-		if err := poolX.Add(s.Statement()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range tableB.Seals() {
-		if err := poolY.Add(s.Statement()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	conflicts := gossip.Exchange(poolX, poolY)
+	// Each neighbor's audit store holds the seal set it was served, then
+	// they gossip.
+	conflicts := gossipRound(t, e, tableA, tableB)
 	if len(conflicts) == 0 {
 		t.Fatal("gossip found no conflicts between the two tables")
 	}
@@ -317,34 +309,43 @@ func TestCrossShardEquivocationDetection(t *testing.T) {
 	// differs, so the shard-0 topics collide with different payloads.
 	otherLayout := e.engine(t, 8, 8)
 	otherLayout.BeginEpoch(1)
-	if _, err := otherLayout.AcceptAnnouncement(e.announce(t, 101, 1, pfxs[0], 2)); err != nil {
+	if _, err := otherLayout.AcceptAnnouncement(e.announce(t, 101, 1, pfxs[0], 2), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := otherLayout.SealEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	poolL := gossip.NewPool(e.reg)
-	for _, s := range otherLayout.Seals() {
-		if err := poolL.Add(s.Statement()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := gossip.Exchange(poolX, poolL); len(got) == 0 {
+	if got := gossipRound(t, e, tableA, otherLayout); len(got) == 0 {
 		t.Fatal("different shard layouts for one epoch produced no gossip conflict")
 	}
 
 	// Accuracy: an honest prover gossiped to both neighbors conflicts with
 	// nothing.
-	poolA, poolB := gossip.NewPool(e.reg), gossip.NewPool(e.reg)
-	for _, s := range tableA.Seals() {
-		if err := poolA.Add(s.Statement()); err != nil {
-			t.Fatal(err)
-		}
-		if err := poolB.Add(s.Statement()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := gossip.Exchange(poolA, poolB); len(got) != 0 {
+	if got := gossipRound(t, e, tableA, tableA); len(got) != 0 {
 		t.Fatalf("honest seals produced %d conflicts", len(got))
 	}
+}
+
+// gossipRound gives each of two neighbors an audit store holding the seal
+// set it was served, then feeds each store the other's seals — one gossip
+// exchange — and returns every equivocation either side detects.
+func gossipRound(t *testing.T, e *env, x, y *ProverEngine) []*gossip.Conflict {
+	t.Helper()
+	var out []*gossip.Conflict
+	// Each store takes in its own neighbor's seals first, then the other's.
+	for _, feed := range [][2]*ProverEngine{{x, y}, {y, x}} {
+		st := auditnet.NewStore(e.reg)
+		for _, eng := range feed {
+			for _, s := range eng.Seals() {
+				_, c, err := st.AddRecord(auditnet.Record{Epoch: s.Epoch, S: s.Statement()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c != nil {
+					out = append(out, c)
+				}
+			}
+		}
+	}
+	return out
 }

@@ -106,7 +106,7 @@ func (s *Seal) GossipTopic() string {
 	return fmt.Sprintf("seal/%d/%d.%d/%d", uint32(s.Prover), s.Epoch, s.Window, s.Shard)
 }
 
-// Statement packages the seal for a gossip pool.
+// Statement packages the seal for the audit network.
 func (s *Seal) Statement() gossip.Statement {
 	return gossip.Statement{
 		Origin:  s.Prover,

@@ -6,6 +6,7 @@ import (
 
 	"pvr/internal/aspath"
 	"pvr/internal/core"
+	"pvr/internal/obs"
 	"pvr/internal/sigs"
 )
 
@@ -152,7 +153,7 @@ func TestAcceptAllReceiptBatch(t *testing.T) {
 	}
 
 	for _, a := range anns {
-		if _, err := serial.AcceptAnnouncement(a); err != nil {
+		if _, err := serial.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +208,7 @@ func TestPipelineSharedSealMemo(t *testing.T) {
 	pfxs := testPrefixes(t, nPfx)
 	for i, pfx := range pfxs {
 		for j := 0; j < k; j++ {
-			if _, err := eng.AcceptAnnouncement(e.announce(t, aspath.ASN(101+j), 9, pfx, 1+(i+j)%16)); err != nil {
+			if _, err := eng.AcceptAnnouncement(e.announce(t, aspath.ASN(101+j), 9, pfx, 1+(i+j)%16), obs.TraceContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}

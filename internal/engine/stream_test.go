@@ -5,6 +5,7 @@ import (
 
 	"pvr/internal/core"
 	"pvr/internal/merkle"
+	"pvr/internal/obs"
 	"pvr/internal/prefix"
 )
 
@@ -15,7 +16,7 @@ func buildTable(t *testing.T, e *env, eng *ProverEngine, n int) []prefix.Prefix 
 	eng.BeginEpoch(1)
 	pfxs := testPrefixes(t, n)
 	for i, pfx := range pfxs {
-		if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 1+i%8)); err != nil {
+		if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 1+i%8), obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +50,7 @@ func TestSealDirtyRebuildsOnlyDirtyShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.ReplacePrefix(target, replacementAnns(t, e, target)); err != nil {
+	if err := eng.ReplacePrefix(target, replacementAnns(t, e, target), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	seals, rebuilt, err := eng.SealDirty()
@@ -103,7 +104,7 @@ func TestSealDirtyDisclosuresVerify(t *testing.T) {
 	pfxs := buildTable(t, e, eng, 16)
 
 	target := pfxs[3]
-	if err := eng.ReplacePrefix(target, replacementAnns(t, e, target)); err != nil {
+	if err := eng.ReplacePrefix(target, replacementAnns(t, e, target), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := eng.SealDirty(); err != nil {
@@ -138,7 +139,7 @@ func TestMutationUnsealsShard(t *testing.T) {
 	eng := e.engine(t, 2, 16)
 	pfxs := buildTable(t, e, eng, 8)
 
-	if err := eng.ReplacePrefix(pfxs[0], replacementAnns(t, e, pfxs[0])); err != nil {
+	if err := eng.ReplacePrefix(pfxs[0], replacementAnns(t, e, pfxs[0]), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Commitment(pfxs[0]); err == nil {
@@ -159,11 +160,11 @@ func TestRemovePrefix(t *testing.T) {
 	eng := e.engine(t, 2, 16)
 	pfxs := buildTable(t, e, eng, 8)
 
-	removed, err := eng.RemovePrefix(pfxs[2])
+	removed, err := eng.RemovePrefix(pfxs[2], obs.TraceContext{})
 	if err != nil || !removed {
 		t.Fatalf("RemovePrefix = (%v, %v), want (true, nil)", removed, err)
 	}
-	if removed, err = eng.RemovePrefix(pfxs[2]); err != nil || removed {
+	if removed, err = eng.RemovePrefix(pfxs[2], obs.TraceContext{}); err != nil || removed {
 		t.Fatalf("second RemovePrefix = (%v, %v), want (false, nil)", removed, err)
 	}
 	if _, _, err := eng.SealDirty(); err != nil {
@@ -194,7 +195,7 @@ func TestSealWindowWireRoundTrip(t *testing.T) {
 	e := newEnv(t, 2)
 	eng := e.engine(t, 2, 16)
 	pfxs := buildTable(t, e, eng, 4)
-	if err := eng.ReplacePrefix(pfxs[0], replacementAnns(t, e, pfxs[0])); err != nil {
+	if err := eng.ReplacePrefix(pfxs[0], replacementAnns(t, e, pfxs[0]), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	seals, _, err := eng.SealDirty()
@@ -228,14 +229,14 @@ func TestSealEpochAfterStreamingAdvancesWindow(t *testing.T) {
 	e := newEnv(t, 2)
 	eng := e.engine(t, 2, 16)
 	pfxs := buildTable(t, e, eng, 8)
-	if err := eng.ReplacePrefix(pfxs[0], replacementAnns(t, e, pfxs[0])); err != nil {
+	if err := eng.ReplacePrefix(pfxs[0], replacementAnns(t, e, pfxs[0]), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	w1, _, err := eng.SealDirty() // window 1 gossips
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.ReplacePrefix(pfxs[0], []core.Announcement{e.announce(t, 101, 1, pfxs[0], 7)}); err != nil {
+	if err := eng.ReplacePrefix(pfxs[0], []core.Announcement{e.announce(t, 101, 1, pfxs[0], 7)}, obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	w2, err := eng.SealEpoch() // batch-style call on a streamed engine

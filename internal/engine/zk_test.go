@@ -5,6 +5,7 @@ import (
 
 	"pvr/internal/aspath"
 	"pvr/internal/core"
+	"pvr/internal/obs"
 	"pvr/internal/zkp"
 )
 
@@ -33,7 +34,7 @@ func TestZKBindSealsAndVerifies(t *testing.T) {
 	pfxs := testPrefixes(t, 5)
 	for i, pfx := range pfxs {
 		for j := 0; j < k; j++ {
-			if _, err := eng.AcceptAnnouncement(e.announce(t, aspath.ASN(101+j), 1, pfx, 1+(i+j)%8)); err != nil {
+			if _, err := eng.AcceptAnnouncement(e.announce(t, aspath.ASN(101+j), 1, pfx, 1+(i+j)%8), obs.TraceContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -92,7 +93,7 @@ func TestZKStateInvalidatedOnChurn(t *testing.T) {
 	eng := zkEngine(t, e, 1, 8)
 	eng.BeginEpoch(1)
 	pfx := testPrefixes(t, 1)[0]
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 5)); err != nil {
+	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 5), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SealEpoch(); err != nil {
@@ -103,7 +104,7 @@ func TestZKStateInvalidatedOnChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replace with a shorter route: min moves from 5 to 2, bits change.
-	if err := eng.ReplacePrefix(pfx, []core.Announcement{e.announce(t, 102, 1, pfx, 2)}); err != nil {
+	if err := eng.ReplacePrefix(pfx, []core.Announcement{e.announce(t, 102, 1, pfx, 2)}, obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := eng.SealDirty(); err != nil {
@@ -132,10 +133,10 @@ func TestDiscloseAtLength(t *testing.T) {
 	eng.BeginEpoch(1)
 	pfx := testPrefixes(t, 1)[0]
 	a := e.announce(t, 101, 1, pfx, 3)
-	if _, err := eng.AcceptAnnouncement(a); err != nil {
+	if _, err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 102, 1, pfx, 5)); err != nil {
+	if _, err := eng.AcceptAnnouncement(e.announce(t, 102, 1, pfx, 5), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SealEpoch(); err != nil {

@@ -1,17 +1,16 @@
-// Package gossip implements the neighbor gossip that backs PVR's
-// equivocation detection: "A's neighbors can gossip about c to ensure that
-// they all have the same view" (§3.2, §3.6). Each neighbor keeps a pool of
-// the signed statements it has received; merging pools detects when an AS
-// has published two different commitments for the same topic — an
-// equivocation, with the two conflicting signed statements as evidence.
+// Package gossip defines what PVR's neighbors gossip about and what they
+// catch: "A's neighbors can gossip about c to ensure that they all have the
+// same view" (§3.2, §3.6). A Statement is one signed commitment on a topic;
+// a Conflict is two validly signed, different statements by the same
+// origin on the same topic — an equivocation, carried as transferable
+// evidence any third party can re-verify. The store that compares
+// statements and the exchange that spreads them are internal/auditnet.
 package gossip
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"pvr/internal/aspath"
 	"pvr/internal/sigs"
@@ -72,122 +71,4 @@ func (c *Conflict) Verify(reg sigs.Verifier) error {
 		return errors.New("gossip: statements are identical, no equivocation")
 	}
 	return nil
-}
-
-// Pool is one neighbor's view of gossiped statements. Safe for concurrent
-// use.
-type Pool struct {
-	reg sigs.Verifier
-
-	mu       sync.Mutex
-	byKey    map[string]Statement // origin/topic -> first accepted statement
-	confl    []*Conflict
-	conflKey map[string]*Conflict // dedupe: same equivocation recorded once
-	sorted   []Statement          // cached Statements() export; nil = stale
-}
-
-// NewPool builds an empty pool verifying against reg.
-func NewPool(reg sigs.Verifier) *Pool {
-	return &Pool{
-		reg:      reg,
-		byKey:    make(map[string]Statement),
-		conflKey: make(map[string]*Conflict),
-	}
-}
-
-func key(origin aspath.ASN, topic string) string {
-	return fmt.Sprintf("%d\x00%s", uint32(origin), topic)
-}
-
-// conflictKey identifies an equivocation by (origin, topic, payload pair),
-// payloads in normalized order, so the same conflicting statement
-// re-arriving (every MergeFrom from the same peer re-delivers it) maps to
-// the already recorded conflict instead of growing the pool.
-func conflictKey(c *Conflict) string {
-	a, b := c.A.Payload, c.B.Payload
-	if bytes.Compare(a, b) > 0 {
-		a, b = b, a
-	}
-	return fmt.Sprintf("%d\x00%s\x00%x\x00%x", uint32(c.Origin), c.Topic, a, b)
-}
-
-// Add ingests a statement. Invalid signatures are rejected with an error;
-// a validly signed statement that contradicts a previously accepted one is
-// recorded (once per distinct payload pair) and returned as a *Conflict
-// error.
-func (p *Pool) Add(s Statement) error {
-	if err := s.Verify(p.reg); err != nil {
-		return fmt.Errorf("gossip: reject statement from %s: %w", s.Origin, err)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	k := key(s.Origin, s.Topic)
-	prev, seen := p.byKey[k]
-	if !seen {
-		p.byKey[k] = s
-		p.sorted = nil
-		return nil
-	}
-	if prev.Equal(&s) {
-		return nil
-	}
-	c := &Conflict{Origin: s.Origin, Topic: s.Topic, A: prev, B: s}
-	ck := conflictKey(c)
-	if dup, ok := p.conflKey[ck]; ok {
-		return dup
-	}
-	p.conflKey[ck] = c
-	p.confl = append(p.confl, c)
-	return c
-}
-
-// Statements returns every accepted statement, sorted by origin and topic,
-// for forwarding to other neighbors. The export is cached between Adds and
-// shared between callers: treat it as read-only.
-func (p *Pool) Statements() []Statement {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.sorted != nil {
-		return p.sorted
-	}
-	out := make([]Statement, 0, len(p.byKey))
-	for _, s := range p.byKey {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Origin != out[j].Origin {
-			return out[i].Origin < out[j].Origin
-		}
-		return out[i].Topic < out[j].Topic
-	})
-	p.sorted = out
-	return out
-}
-
-// Conflicts returns the equivocations detected so far.
-func (p *Pool) Conflicts() []*Conflict {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]*Conflict(nil), p.confl...)
-}
-
-// MergeFrom ingests every statement from another pool's export, returning
-// all conflicts discovered during the merge. This is one gossip exchange
-// between two neighbors.
-func (p *Pool) MergeFrom(stmts []Statement) []*Conflict {
-	var found []*Conflict
-	for _, s := range stmts {
-		var c *Conflict
-		if err := p.Add(s); errors.As(err, &c) {
-			found = append(found, c)
-		}
-	}
-	return found
-}
-
-// Exchange performs a bidirectional gossip round between two pools,
-// returning conflicts detected on either side.
-func Exchange(a, b *Pool) []*Conflict {
-	out := a.MergeFrom(b.Statements())
-	return append(out, b.MergeFrom(a.Statements())...)
 }

@@ -1,11 +1,19 @@
-package gossip
+// The detection properties of gossiped statements are checked here on the
+// one detector every participant runs, auditnet.Store (and, for the
+// exchange tests, the auditnet.Auditor around it). This is an external
+// test package because auditnet imports gossip.
+package gossip_test
 
 import (
-	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pvr/internal/aspath"
+	"pvr/internal/auditnet"
+	"pvr/internal/gossip"
+	"pvr/internal/netx"
+	"pvr/internal/obs"
 	"pvr/internal/sigs"
 )
 
@@ -31,65 +39,101 @@ func setup(t *testing.T) {
 	})
 }
 
-func signed(t *testing.T, origin aspath.ASN, topic, payload string) Statement {
+func signed(t *testing.T, origin aspath.ASN, topic, payload string) gossip.Statement {
 	t.Helper()
 	sig, err := signers[origin].Sign([]byte(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Statement{Origin: origin, Topic: topic, Payload: []byte(payload), Sig: sig}
+	return gossip.Statement{Origin: origin, Topic: topic, Payload: []byte(payload), Sig: sig}
+}
+
+// add files s under epoch 1 in st.
+func add(st *auditnet.Store, s gossip.Statement) (bool, *gossip.Conflict, error) {
+	return st.AddRecord(auditnet.Record{Epoch: 1, S: s})
+}
+
+func auditor(t *testing.T, asn aspath.ASN, stmts ...gossip.Statement) *auditnet.Auditor {
+	t.Helper()
+	a, err := auditnet.New(auditnet.Config{ASN: asn, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stmts {
+		if _, _, err := a.AddRecord(auditnet.Record{Epoch: 1, S: s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a
+}
+
+// exchange runs one anti-entropy round between a (initiator) and b.
+func exchange(t *testing.T, a, b *auditnet.Auditor) {
+	t.Helper()
+	ca, cb := netx.Pipe()
+	defer ca.Close()
+	defer cb.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := b.Respond(cb)
+		errc <- err
+	}()
+	if _, err := a.Reconcile(ca); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPoolAcceptsValidRejectsForged(t *testing.T) {
 	setup(t)
-	p := NewPool(reg)
-	if err := p.Add(signed(t, 1, "min/x/1", "commitment-bytes")); err != nil {
+	st := auditnet.NewStore(reg)
+	if _, _, err := add(st, signed(t, 1, "min/x/1", "commitment-bytes")); err != nil {
 		t.Fatalf("valid statement rejected: %v", err)
 	}
 	// Forged signature.
 	bad := signed(t, 1, "min/x/2", "other")
 	bad.Sig[0] ^= 1
-	if err := p.Add(bad); err == nil {
+	if _, _, err := add(st, bad); err == nil {
 		t.Error("forged statement accepted")
 	}
 	// Statement from unregistered origin.
 	s := signed(t, 1, "t", "p")
 	s.Origin = 99
-	if err := p.Add(s); err == nil {
+	if _, _, err := add(st, s); err == nil {
 		t.Error("unknown origin accepted")
 	}
-	if got := len(p.Statements()); got != 1 {
-		t.Errorf("pool holds %d statements", got)
+	if got := st.Records(); got != 1 {
+		t.Errorf("store holds %d statements", got)
 	}
 }
 
 func TestPoolIdempotentSameStatement(t *testing.T) {
 	setup(t)
-	p := NewPool(reg)
-	s := signed(t, 1, "min/x/1", "same-bytes")
-	if err := p.Add(s); err != nil {
+	st := auditnet.NewStore(reg)
+	if _, _, err := add(st, signed(t, 1, "min/x/1", "same-bytes")); err != nil {
 		t.Fatal(err)
 	}
 	// The same payload again (possibly re-signed) is not a conflict.
-	s2 := signed(t, 1, "min/x/1", "same-bytes")
-	if err := p.Add(s2); err != nil {
-		t.Errorf("re-adding identical payload: %v", err)
+	added, c, err := add(st, signed(t, 1, "min/x/1", "same-bytes"))
+	if err != nil || c != nil || added {
+		t.Errorf("re-adding identical payload: added=%v conflict=%v err=%v", added, c, err)
 	}
-	if len(p.Conflicts()) != 0 {
-		t.Error("false conflict recorded")
+	if st.Records() != 1 || st.ConflictCount() != 0 {
+		t.Error("identical payload stored twice or recorded as a conflict")
 	}
 }
 
 func TestEquivocationDetected(t *testing.T) {
 	setup(t)
-	p := NewPool(reg)
-	if err := p.Add(signed(t, 1, "min/x/1", "version-A")); err != nil {
+	st := auditnet.NewStore(reg)
+	if _, _, err := add(st, signed(t, 1, "min/x/1", "version-A")); err != nil {
 		t.Fatal(err)
 	}
-	err := p.Add(signed(t, 1, "min/x/1", "version-B"))
-	var c *Conflict
-	if !errors.As(err, &c) {
-		t.Fatalf("expected conflict, got %v", err)
+	_, c, err := add(st, signed(t, 1, "min/x/1", "version-B"))
+	if err != nil || c == nil {
+		t.Fatalf("expected conflict, got %v, %v", c, err)
 	}
 	if c.Origin != 1 || c.Topic != "min/x/1" {
 		t.Errorf("conflict = %+v", c)
@@ -98,26 +142,26 @@ func TestEquivocationDetected(t *testing.T) {
 	if err := c.Verify(reg); err != nil {
 		t.Errorf("genuine conflict rejected: %v", err)
 	}
-	if len(p.Conflicts()) != 1 {
+	if !st.AddConflict(c, obs.TraceContext{}) || st.ConflictCount() != 1 {
 		t.Error("conflict not recorded")
 	}
 }
 
 func TestNoConflictAcrossTopicsOrOrigins(t *testing.T) {
 	setup(t)
-	p := NewPool(reg)
-	stmts := []Statement{
+	st := auditnet.NewStore(reg)
+	stmts := []gossip.Statement{
 		signed(t, 1, "min/x/1", "A"),
 		signed(t, 1, "min/x/2", "B"), // different topic
 		signed(t, 2, "min/x/1", "C"), // different origin
 	}
 	for _, s := range stmts {
-		if err := p.Add(s); err != nil {
-			t.Fatalf("cross add: %v", err)
+		if _, c, err := add(st, s); err != nil || c != nil {
+			t.Fatalf("cross add: conflict=%v err=%v", c, err)
 		}
 	}
-	if len(p.Conflicts()) != 0 {
-		t.Error("spurious conflict")
+	if st.Records() != 3 {
+		t.Errorf("store holds %d statements, want 3", st.Records())
 	}
 }
 
@@ -125,15 +169,10 @@ func TestExchangeSpreadsAndDetects(t *testing.T) {
 	setup(t)
 	// N1 got version A from the equivocator, N2 got version B. A gossip
 	// exchange must surface the equivocation on at least one side.
-	p1 := NewPool(reg)
-	p2 := NewPool(reg)
-	if err := p1.Add(signed(t, 3, "exists/y/9", "to-N1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Add(signed(t, 3, "exists/y/9", "to-N2")); err != nil {
-		t.Fatal(err)
-	}
-	conflicts := Exchange(p1, p2)
+	n1 := auditor(t, 101, signed(t, 3, "exists/y/9", "to-N1"))
+	n2 := auditor(t, 102, signed(t, 3, "exists/y/9", "to-N2"))
+	exchange(t, n1, n2)
+	conflicts := append(n1.Evidence(), n2.Evidence()...)
 	if len(conflicts) == 0 {
 		t.Fatal("exchange missed the equivocation")
 	}
@@ -149,17 +188,14 @@ func TestExchangeSpreadsAndDetects(t *testing.T) {
 
 func TestExchangeHonestNoConflicts(t *testing.T) {
 	setup(t)
-	p1 := NewPool(reg)
-	p2 := NewPool(reg)
-	s := signed(t, 1, "min/z/1", "same")
-	if err := p1.Add(s); err != nil {
-		t.Fatal(err)
-	}
-	if cs := Exchange(p1, p2); len(cs) != 0 {
+	n1 := auditor(t, 101, signed(t, 1, "min/z/1", "same"))
+	n2 := auditor(t, 102)
+	exchange(t, n1, n2)
+	if cs := append(n1.Evidence(), n2.Evidence()...); len(cs) != 0 {
 		t.Errorf("honest exchange produced conflicts: %v", cs)
 	}
-	// p2 now has the statement too.
-	if len(p2.Statements()) != 1 {
+	// n2 now has the statement too.
+	if n2.Store().Records() != 1 {
 		t.Error("statement did not propagate")
 	}
 }
@@ -169,21 +205,21 @@ func TestForgedConflictRejected(t *testing.T) {
 	// Accuracy: an accuser cannot fabricate a conflict.
 	a := signed(t, 1, "t", "same")
 	b := signed(t, 1, "t", "same")
-	c := &Conflict{Origin: 1, Topic: "t", A: a, B: b}
+	c := &gossip.Conflict{Origin: 1, Topic: "t", A: a, B: b}
 	if err := c.Verify(reg); err == nil {
 		t.Error("identical-payload conflict verified")
 	}
 	// Statements signed by someone else.
 	x := signed(t, 2, "t", "v1")
 	y := signed(t, 2, "t", "v2")
-	c2 := &Conflict{Origin: 1, Topic: "t", A: x, B: y}
+	c2 := &gossip.Conflict{Origin: 1, Topic: "t", A: x, B: y}
 	if err := c2.Verify(reg); err == nil {
 		t.Error("conflict with wrong origin verified")
 	}
 	// Tampered payload breaks the signature.
 	z := signed(t, 1, "t", "v1")
 	z.Payload = []byte("v1-tampered")
-	c3 := &Conflict{Origin: 1, Topic: "t", A: z, B: signed(t, 1, "t", "v2")}
+	c3 := &gossip.Conflict{Origin: 1, Topic: "t", A: z, B: signed(t, 1, "t", "v2")}
 	if err := c3.Verify(reg); err == nil {
 		t.Error("tampered conflict verified")
 	}
@@ -192,67 +228,73 @@ func TestForgedConflictRejected(t *testing.T) {
 func TestRepeatedMergeDoesNotGrowConflicts(t *testing.T) {
 	setup(t)
 	// The same conflicting statement re-arrives on every exchange with the
-	// same peer; the pool must record the equivocation exactly once.
-	p := NewPool(reg)
-	if err := p.Add(signed(t, 1, "min/x/1", "version-A")); err != nil {
+	// same peer; the store must record the equivocation exactly once.
+	st := auditnet.NewStore(reg)
+	versionA := signed(t, 1, "min/x/1", "version-A")
+	if _, _, err := add(st, versionA); err != nil {
 		t.Fatal(err)
 	}
 	conflicting := signed(t, 1, "min/x/1", "version-B")
-	var first *Conflict
+	var first *gossip.Conflict
 	for i := 0; i < 10; i++ {
-		err := p.Add(conflicting)
-		var c *Conflict
-		if !errors.As(err, &c) {
-			t.Fatalf("round %d: expected conflict, got %v", i, err)
+		_, c, err := add(st, conflicting)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if c == nil {
+			continue // the topic is quarantined once its evidence is stored
+		}
+		if st.AddConflict(c, obs.TraceContext{}) != (first == nil) {
+			t.Fatalf("round %d: known equivocation recorded again", i)
 		}
 		if first == nil {
 			first = c
-		} else if c != first {
-			t.Fatalf("round %d: new conflict allocated for known equivocation", i)
 		}
 	}
-	if got := len(p.Conflicts()); got != 1 {
-		t.Fatalf("pool holds %d conflicts after 10 re-arrivals, want 1", got)
+	if first == nil {
+		t.Fatal("equivocation never detected")
 	}
-	// A genuinely different payload pair is a distinct conflict.
-	if err := p.Add(signed(t, 1, "min/x/1", "version-C")); err == nil {
-		t.Fatal("third version accepted silently")
+	if st.AddConflict(first, obs.TraceContext{}) {
+		t.Fatal("identical evidence recorded twice")
 	}
-	if got := len(p.Conflicts()); got != 2 {
-		t.Fatalf("pool holds %d conflicts, want 2 distinct equivocations", got)
+	if got := st.ConflictCount(); got != 1 {
+		t.Fatalf("store holds %d conflicts after 10 re-arrivals, want 1", got)
+	}
+	// A genuinely different payload pair is distinct evidence.
+	third := &gossip.Conflict{Origin: 1, Topic: "min/x/1", A: versionA, B: signed(t, 1, "min/x/1", "version-C")}
+	if !st.AddConflict(third, obs.TraceContext{}) {
+		t.Fatal("distinct payload pair deduplicated away")
+	}
+	if got := st.ConflictCount(); got != 2 {
+		t.Fatalf("store holds %d conflicts, want 2 distinct equivocations", got)
 	}
 }
 
+// TestStatementsCachedUntilAdd pins that the store's reconciliation
+// digest moves only when a statement is added: duplicate and conflicting
+// adds leave it alone, so two peers that agree stay in sync.
 func TestStatementsCachedUntilAdd(t *testing.T) {
 	setup(t)
-	p := NewPool(reg)
-	if err := p.Add(signed(t, 1, "a", "1")); err != nil {
+	st := auditnet.NewStore(reg)
+	if _, _, err := add(st, signed(t, 1, "a", "1")); err != nil {
 		t.Fatal(err)
 	}
-	s1 := p.Statements()
-	s2 := p.Statements()
-	if &s1[0] != &s2[0] {
-		t.Error("repeated Statements() rebuilt the export without intervening Add")
+	s1 := st.Summary().Store
+	if st.Summary().Store != s1 {
+		t.Error("repeated Summary() changed without an intervening add")
 	}
-	if err := p.Add(signed(t, 2, "b", "2")); err != nil {
+	if _, _, err := add(st, signed(t, 2, "b", "2")); err != nil {
 		t.Fatal(err)
 	}
-	s3 := p.Statements()
-	if len(s3) != 2 {
-		t.Fatalf("export has %d statements, want 2", len(s3))
+	s3 := st.Summary().Store
+	if s3 == s1 {
+		t.Fatal("new statement left the digest unchanged")
 	}
-	for i := 1; i < len(s3); i++ {
-		prev, cur := s3[i-1], s3[i]
-		if prev.Origin > cur.Origin || (prev.Origin == cur.Origin && prev.Topic > cur.Topic) {
-			t.Fatal("export not sorted after cache invalidation")
-		}
-	}
-	// Duplicate adds and conflicting adds do not invalidate the cache.
-	p.Add(signed(t, 1, "a", "1"))
-	p.Add(signed(t, 1, "a", "other"))
-	s4 := p.Statements()
-	if &s3[0] != &s4[0] {
-		t.Error("no-op Add invalidated the cached export")
+	// Duplicate adds and conflicting adds do not move the digest.
+	add(st, signed(t, 1, "a", "1"))
+	add(st, signed(t, 1, "a", "other"))
+	if st.Summary().Store != s3 {
+		t.Error("no-op add changed the digest")
 	}
 }
 
@@ -262,62 +304,67 @@ func TestConflictVerifyAdversarial(t *testing.T) {
 	v2 := signed(t, 1, "t", "v2")
 
 	// Genuine conflict verifies (control).
-	if err := (&Conflict{Origin: 1, Topic: "t", A: v1, B: v2}).Verify(reg); err != nil {
+	if err := (&gossip.Conflict{Origin: 1, Topic: "t", A: v1, B: v2}).Verify(reg); err != nil {
 		t.Fatalf("genuine conflict rejected: %v", err)
 	}
 	// Accusation origin differs from the statements' origin.
-	if err := (&Conflict{Origin: 2, Topic: "t", A: v1, B: v2}).Verify(reg); err == nil {
+	if err := (&gossip.Conflict{Origin: 2, Topic: "t", A: v1, B: v2}).Verify(reg); err == nil {
 		t.Error("origin mismatch verified")
 	}
 	// Accusation topic differs from the statements' topic.
-	if err := (&Conflict{Origin: 1, Topic: "other", A: v1, B: v2}).Verify(reg); err == nil {
+	if err := (&gossip.Conflict{Origin: 1, Topic: "other", A: v1, B: v2}).Verify(reg); err == nil {
 		t.Error("topic mismatch verified")
 	}
 	// One statement's topic quietly swapped: same payloads, different topic
 	// fields — must not convict for topic "t".
 	crossTopic := signed(t, 1, "t2", "v2")
-	if err := (&Conflict{Origin: 1, Topic: "t", A: v1, B: crossTopic}).Verify(reg); err == nil {
+	if err := (&gossip.Conflict{Origin: 1, Topic: "t", A: v1, B: crossTopic}).Verify(reg); err == nil {
 		t.Error("cross-topic statement pair verified")
 	}
 	// Forged signature on one side.
 	forged := signed(t, 1, "t", "v2")
 	forged.Sig = append([]byte(nil), forged.Sig...)
 	forged.Sig[0] ^= 1
-	if err := (&Conflict{Origin: 1, Topic: "t", A: v1, B: forged}).Verify(reg); err == nil {
+	if err := (&gossip.Conflict{Origin: 1, Topic: "t", A: v1, B: forged}).Verify(reg); err == nil {
 		t.Error("forged-signature conflict verified")
 	}
 	// Statement signed by a different (registered) AS, origin field lies.
 	other := signed(t, 2, "t", "v2")
 	other.Origin = 1
-	if err := (&Conflict{Origin: 1, Topic: "t", A: v1, B: other}).Verify(reg); err == nil {
+	if err := (&gossip.Conflict{Origin: 1, Topic: "t", A: v1, B: other}).Verify(reg); err == nil {
 		t.Error("wrong-signer statement verified")
 	}
 	// Unknown origin.
 	u1, u2 := v1, v2
 	u1.Origin, u2.Origin = 99, 99
-	if err := (&Conflict{Origin: 99, Topic: "t", A: u1, B: u2}).Verify(reg); err == nil {
+	if err := (&gossip.Conflict{Origin: 99, Topic: "t", A: u1, B: u2}).Verify(reg); err == nil {
 		t.Error("unknown-origin conflict verified")
 	}
 }
 
 func TestPoolConcurrentAdds(t *testing.T) {
 	setup(t)
-	p := NewPool(reg)
+	st := auditnet.NewStore(reg)
 	s := signed(t, 1, "topic", "payload") // same everywhere: no conflicts
+	var added atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if err := p.Add(s); err != nil {
-					t.Errorf("add: %v", err)
+				ok, c, err := add(st, s)
+				if err != nil || c != nil {
+					t.Errorf("add: conflict=%v err=%v", c, err)
+				}
+				if ok {
+					added.Add(1)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if len(p.Conflicts()) != 0 {
-		t.Error("spurious conflicts under concurrency")
+	if added.Load() != 1 || st.Records() != 1 {
+		t.Errorf("statement added %d times, store holds %d", added.Load(), st.Records())
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"pvr/internal/core"
 	"pvr/internal/engine"
 	"pvr/internal/merkle"
+	"pvr/internal/obs"
 	"pvr/internal/route"
 	"pvr/internal/sigs"
 	"pvr/internal/topology"
@@ -271,7 +272,7 @@ func RunConvergence(cfg ConvergenceConfig) (*ConvergenceResult, error) {
 				return nil, err
 			}
 			res.SignOps++ // the origin's announcement signature
-			if _, err := eng.AcceptAnnouncement(ann); err != nil {
+			if _, err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
 				return nil, err
 			}
 			res.SignOps++   // the prover's receipt signature

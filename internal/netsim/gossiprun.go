@@ -13,6 +13,7 @@ import (
 	"pvr/internal/engine"
 	"pvr/internal/gossip"
 	"pvr/internal/netx"
+	"pvr/internal/obs"
 	"pvr/internal/sigs"
 	"pvr/internal/trace"
 )
@@ -201,7 +202,7 @@ func RunGossip(ctx context.Context, cfg GossipConfig) (*GossipResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				if _, err := eng.AcceptAnnouncement(ann); err != nil {
+				if _, err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
 					return nil, err
 				}
 			}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pvr/internal/aspath"
+	"pvr/internal/auditnet"
 	"pvr/internal/commit"
 	"pvr/internal/core"
 	"pvr/internal/evidence"
@@ -184,24 +185,40 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 		return nil, err
 	}
 
-	// Gossip round: every neighbor's pool merges with every other's.
-	pools := make(map[aspath.ASN]*gossip.Pool)
-	for _, n := range append(append([]aspath.ASN{}, providers...), fig1Promisee) {
-		pools[n] = gossip.NewPool(reg)
-		if s, ok := gossipStmts[n]; ok {
-			if err := pools[n].Add(s); err != nil {
-				var c *gossip.Conflict
-				if !errors.As(err, &c) {
-					return nil, err
-				}
-			}
+	// Gossip round, one audit store per neighbor: every pair hands each
+	// other the statement it holds, and a store already holding a
+	// different one for the topic reports the equivocation. A neighbor
+	// that held nothing keeps what it is given and passes it on.
+	neighbors := append(append([]aspath.ASN{}, providers...), fig1Promisee)
+	stores := make(map[aspath.ASN]*auditnet.Store, len(neighbors))
+	deliver := func(to, from aspath.ASN) (*gossip.Conflict, error) {
+		s, ok := gossipStmts[from]
+		if !ok {
+			return nil, nil
+		}
+		added, c, err := stores[to].AddRecord(auditnet.Record{Epoch: fig1Epoch, S: s})
+		if added {
+			gossipStmts[to] = s
+		}
+		return c, err
+	}
+	for _, n := range neighbors {
+		stores[n] = auditnet.NewStore(reg)
+		if _, err := deliver(n, n); err != nil {
+			return nil, err
 		}
 	}
-	neighbors := append(append([]aspath.ASN{}, providers...), fig1Promisee)
 	detected := map[aspath.ASN]bool{}
 	for i := 0; i < len(neighbors); i++ {
 		for j := i + 1; j < len(neighbors); j++ {
-			for _, c := range gossip.Exchange(pools[neighbors[i]], pools[neighbors[j]]) {
+			for _, dir := range [][2]aspath.ASN{{neighbors[i], neighbors[j]}, {neighbors[j], neighbors[i]}} {
+				c, err := deliver(dir[0], dir[1])
+				if err != nil {
+					return nil, err
+				}
+				if c == nil {
+					continue
+				}
 				ev := &evidence.Evidence{
 					Kind: evidence.KindEquivocation, Accused: fig1Prover,
 					Accuser: neighbors[i], Conflict: c,

@@ -216,7 +216,7 @@ func (w *storeProverWorld) announce(eng *engine.ProverEngine) error {
 	if err != nil {
 		return err
 	}
-	return eng.ReplacePrefix(w.pfx.Prefix, []core.Announcement{a})
+	return eng.ReplacePrefix(w.pfx.Prefix, []core.Announcement{a}, obs.TraceContext{})
 }
 
 // sealAndPublish seals the dirty state, write-ahead logs the window,
@@ -481,7 +481,7 @@ func runStoreReplay(ctx context.Context, cfg StoreConfig, res *StoreResult) erro
 	if err != nil {
 		return err
 	}
-	if _, err := eng.AcceptAnnouncement(a); err != nil {
+	if _, err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 		return err
 	}
 	if _, err := eng.SealEpoch(); err != nil {

@@ -191,7 +191,7 @@ func RunTrace(ctx context.Context, cfg TraceConfig) (*TraceResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				if _, err := eng.AcceptAnnouncementTraced(ann, tc); err != nil {
+				if _, err := eng.AcceptAnnouncement(ann, tc); err != nil {
 					return nil, err
 				}
 			}

@@ -3,6 +3,8 @@ package netx
 import (
 	"encoding/binary"
 	"errors"
+
+	"pvr/internal/obs"
 )
 
 // Shared frame-payload encoding helpers: the big-endian, length-prefixed
@@ -163,4 +165,90 @@ func ReadExts(r *PayloadReader, fn func(tag uint8, body []byte) error) error {
 		}
 	}
 	return nil
+}
+
+// AppendTraceExt appends an ExtTrace block carrying tc; nothing is
+// appended when tc is zero, so an untraced message is byte-identical to
+// its pre-tracing encoding.
+func AppendTraceExt(b []byte, tc obs.TraceContext) []byte {
+	if tc.IsZero() {
+		return b
+	}
+	return AppendExt(b, ExtTrace, tc.AppendWire(nil))
+}
+
+// ReadTraceExt consumes every trailing extension block, returning the
+// ExtTrace context (zero when absent) and skipping unknown tags — the
+// forward-compatibility path for frames from newer peers.
+func ReadTraceExt(r *PayloadReader) (obs.TraceContext, error) {
+	var tc obs.TraceContext
+	err := ReadExts(r, func(tag uint8, body []byte) error {
+		if tag != ExtTrace {
+			return nil
+		}
+		var err error
+		tc, err = obs.TraceContextFromWire(body)
+		return err
+	})
+	return tc, err
+}
+
+// AppendTraceListExt appends an ExtTraceList block carrying the non-zero
+// entries of traces as (element index, context) pairs; no block is
+// appended when every entry is zero.
+func AppendTraceListExt(b []byte, traces []obs.TraceContext) []byte {
+	nz := 0
+	for _, tc := range traces {
+		if !tc.IsZero() {
+			nz++
+		}
+	}
+	if nz == 0 {
+		return b
+	}
+	body := AppendU32(make([]byte, 0, 4+nz*(4+obs.TraceWireSize)), uint32(nz))
+	for i, tc := range traces {
+		if !tc.IsZero() {
+			body = tc.AppendWire(AppendU32(body, uint32(i)))
+		}
+	}
+	return AppendExt(b, ExtTraceList, body)
+}
+
+// ReadTraceListExt consumes every trailing extension block, returning an
+// ExtTraceList as a dense slice of n contexts (nil when absent, zero where
+// an element is untraced) and skipping unknown tags. Out-of-range indices
+// are ignored rather than rejected: the extension is advisory metadata.
+func ReadTraceListExt(r *PayloadReader, n int) ([]obs.TraceContext, error) {
+	var traces []obs.TraceContext
+	err := ReadExts(r, func(tag uint8, body []byte) error {
+		if tag != ExtTraceList {
+			return nil
+		}
+		br := &PayloadReader{B: body}
+		cnt, err := br.Count(4 + obs.TraceWireSize)
+		if err != nil {
+			return err
+		}
+		traces = make([]obs.TraceContext, n)
+		for i := 0; i < cnt; i++ {
+			idx, err := br.U32()
+			if err != nil {
+				return err
+			}
+			tb, err := br.Take(obs.TraceWireSize)
+			if err != nil {
+				return err
+			}
+			tc, err := obs.TraceContextFromWire(tb)
+			if err != nil {
+				return err
+			}
+			if int(idx) < n {
+				traces[idx] = tc
+			}
+		}
+		return br.Done()
+	})
+	return traces, err
 }

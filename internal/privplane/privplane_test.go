@@ -85,7 +85,7 @@ func newEnv(t testing.TB, k, nPfx int) *env {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.AcceptAnnouncement(a); err != nil {
+			if _, err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 				t.Fatal(err)
 			}
 			if i == 0 {

@@ -300,6 +300,8 @@ func (l *Log) append(t uint8, data []byte, wait bool) error {
 	lead := !l.leader
 	if lead {
 		l.leader = true
+	} else if n >= l.opt.MaxBatch {
+		l.kickLeader()
 	}
 	l.mu.Unlock()
 	l.met.appends.Inc()
@@ -312,8 +314,6 @@ func (l *Log) append(t uint8, data []byte, wait bool) error {
 		} else {
 			go l.lead(n)
 		}
-	} else if n >= l.opt.MaxBatch {
-		l.kickLeader()
 	}
 	if done != nil {
 		return <-done
@@ -360,12 +360,12 @@ func (l *Log) Sync() error {
 	lead := !l.leader
 	if lead {
 		l.leader = true
+	} else {
+		l.kickLeader()
 	}
 	l.mu.Unlock()
 	if lead {
 		l.flush()
-	} else {
-		l.kickLeader()
 	}
 	return <-done
 }
@@ -380,6 +380,10 @@ func (l *Log) gateLocked() error {
 	return nil
 }
 
+// kickLeader cuts the current leader's window short. Callers hold mu, as
+// flush does when it takes a batch and drops that round's kick, so a kick
+// always belongs to the round whose batch is still pending and none meant
+// for the next round is lost.
 func (l *Log) kickLeader() {
 	select {
 	case l.kick <- struct{}{}:
@@ -396,11 +400,11 @@ func (l *Log) flush() {
 	batch := l.pend
 	l.pend = nil
 	l.leader = false
-	l.mu.Unlock()
 	select {
 	case <-l.kick: // drop a stale kick meant for this round
 	default:
 	}
+	l.mu.Unlock()
 	err := l.writeBatch(batch)
 	if err != nil {
 		// Wedge before releasing wmu so a concurrent Sync barrier cannot

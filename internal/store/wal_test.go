@@ -194,24 +194,32 @@ func TestLogGroupCommitBatchesConcurrentAppends(t *testing.T) {
 	}
 }
 
+// TestLogMaxBatchKicksEarly sends appends in waves of exactly MaxBatch:
+// each wave's last append fills the batch and must flush it at once,
+// well inside the hour-long window. (A remainder below MaxBatch would
+// rightly wait the window out, so waves keep the outcome independent of
+// how the appenders are scheduled.)
 func TestLogMaxBatchKicksEarly(t *testing.T) {
+	const maxBatch, waves = 4, 2
 	m := NewMem()
-	l, _, err := OpenLog(m, Options{FlushEvery: time.Hour, MaxBatch: 4})
+	l, _, err := OpenLog(m, Options{FlushEvery: time.Hour, MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		go func() { done <- l.Append(1, []byte("x")) }()
-	}
-	for i := 0; i < 8; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+	for w := 0; w < waves; w++ {
+		done := make(chan error, maxBatch)
+		for i := 0; i < maxBatch; i++ {
+			go func() { done <- l.Append(1, []byte("x")) }()
+		}
+		for i := 0; i < maxBatch; i++ {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("wave %d: append never flushed despite MaxBatch overflow", w)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("append never flushed despite MaxBatch overflow")
 		}
 	}
 	l.Close()

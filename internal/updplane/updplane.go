@@ -667,7 +667,7 @@ func (p *Plane) failWindow(work []prefix.Prefix, err error) {
 func (p *Plane) applyPrefix(pfx prefix.Prefix, tc obs.TraceContext, removed *atomic.Int64) ([]aspath.ASN, error) {
 	cands := p.anns[pfx]
 	if len(cands) == 0 {
-		was, err := p.cfg.Engine.RemovePrefixTraced(pfx, tc)
+		was, err := p.cfg.Engine.RemovePrefix(pfx, tc)
 		if err != nil {
 			return nil, fmt.Errorf("updplane: remove %s: %w", pfx, err)
 		}
@@ -685,7 +685,7 @@ func (p *Plane) applyPrefix(pfx prefix.Prefix, tc obs.TraceContext, removed *ato
 	for _, peer := range peers {
 		anns = append(anns, cands[peer])
 	}
-	err := p.cfg.Engine.ReplacePrefixTraced(pfx, anns, tc)
+	err := p.cfg.Engine.ReplacePrefix(pfx, anns, tc)
 	if err == nil {
 		return nil, nil
 	}
@@ -707,7 +707,7 @@ func (p *Plane) applyPrefix(pfx prefix.Prefix, tc obs.TraceContext, removed *ato
 		return nil, fmt.Errorf("updplane: replace %s: %w", pfx, err)
 	}
 	if len(good) == 0 {
-		was, err := p.cfg.Engine.RemovePrefixTraced(pfx, tc)
+		was, err := p.cfg.Engine.RemovePrefix(pfx, tc)
 		if err != nil {
 			return nil, fmt.Errorf("updplane: remove %s: %w", pfx, err)
 		}
@@ -716,7 +716,7 @@ func (p *Plane) applyPrefix(pfx prefix.Prefix, tc obs.TraceContext, removed *ato
 		}
 		return bad, nil
 	}
-	if err := p.cfg.Engine.ReplacePrefixTraced(pfx, good, tc); err != nil {
+	if err := p.cfg.Engine.ReplacePrefix(pfx, good, tc); err != nil {
 		return nil, fmt.Errorf("updplane: replace %s after eviction: %w", pfx, err)
 	}
 	return bad, nil

@@ -1,6 +1,7 @@
 package updplane
 
 import (
+	"context"
 	"errors"
 	"net/netip"
 	"sync/atomic"
@@ -367,18 +368,16 @@ func TestSessionFeed(t *testing.T) {
 
 	pfx := testPrefixes(1)[0]
 	ca, cb := netx.Pipe()
-	fed := make(chan struct{}, 4)
 	feed := p.SessionFeed(tPeerA, func(r route.Route, u bgp.Update) (core.Announcement, error) {
 		// Stand-in for attachment-based authentication: the test re-signs
 		// the learned route as the peer (it holds the peer's key).
-		defer func() { fed <- struct{}{} }()
 		return core.NewAnnouncement(e.signers[tPeerA], tPeerA, tProver, 1, r)
 	})
 
 	local := bgp.NewSession(ca, bgp.Open{ASN: tProver, RouterID: 1}, bgp.SessionHooks{OnUpdate: feed})
 	remote := bgp.NewSession(cb, bgp.Open{ASN: tPeerA, RouterID: 2}, bgp.SessionHooks{})
-	go func() { _ = local.Run() }()
-	go func() { _ = remote.Run() }()
+	go func() { _ = local.Run(context.Background()) }()
+	go func() { _ = remote.Run(context.Background()) }()
 	defer local.Close()
 	defer remote.Close()
 
@@ -393,10 +392,15 @@ func TestSessionFeed(t *testing.T) {
 	if err := remote.SendUpdate(u); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-fed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("update never reached the plane")
+	// Wait for the plane to apply the event, not merely for the feed to
+	// authenticate it: a Flush before SessionFeed's Submit lands would seal
+	// an empty window.
+	deadline := time.Now().Add(2 * time.Second)
+	for p.Stats().EventsIn != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("update never reached the plane")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	res, err := p.Flush()
 	if err != nil {

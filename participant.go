@@ -85,9 +85,9 @@ type Participant struct {
 	discLis    Listener
 	discServer *discplane.Server
 
-	// lifeCtx spans Open to Close: sessions run under it via
-	// bgp.Session.RunContext, gossip responders via
-	// Auditor.RespondContext and disclosure sessions via
+	// lifeCtx spans Open to Close: BGP sessions run under it via
+	// bgp.Session.Run, each accepted gossip connection is closed through
+	// context.AfterFunc on it, and disclosure sessions run under it via
 	// discplane.Server.Serve, so cancelling it is what tears the
 	// participant's blocking I/O down.
 	lifeCtx    context.Context
@@ -267,7 +267,7 @@ func (p *Participant) buildEngine() error {
 		if err != nil {
 			return wrapErr("open", err)
 		}
-		if _, err := eng.AcceptAnnouncement(ann); err != nil {
+		if _, err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
 			return wrapErr("open", err)
 		}
 	}
@@ -466,10 +466,10 @@ func (p *Participant) onWindow(w updplane.WindowResult) {
 
 // bind starts the BGP and gossip listeners. The lifecycle closer is
 // registered first (so it runs last, after the listeners have stopped
-// accepting): cancelling lifeCtx makes every session's RunContext
-// watcher, every gossip responder's RespondContext watcher and every
-// disclosure session's Serve tear their own connection down, including
-// ones admitted while teardown is in flight;
+// accepting): cancelling lifeCtx makes every BGP session's Run, every
+// gossip connection's AfterFunc and every disclosure session's Serve tear
+// their own connection down, including ones admitted while teardown is in
+// flight;
 // the idle disclosure connections this participant dialed close with it.
 func (p *Participant) bind() error {
 	p.addCloser(func() {
@@ -478,7 +478,7 @@ func (p *Participant) bind() error {
 		p.discPool.close()
 	})
 	if p.cfg.listen != "" {
-		lis, err := p.transport.Listen(p.cfg.listen, p.handleBGPConn)
+		lis, err := p.transport.Listen(p.cfg.listen, p.runSession)
 		if err != nil {
 			return wrapErr("open", err)
 		}
@@ -489,8 +489,10 @@ func (p *Participant) bind() error {
 	if p.cfg.gossipListen != "" {
 		lis, err := p.transport.Listen(p.cfg.gossipListen, func(c Conn) {
 			defer c.Close()
+			stop := context.AfterFunc(p.lifeCtx, func() { _ = c.Close() })
+			defer stop()
 			for {
-				if _, err := p.auditor.RespondContext(p.lifeCtx, c); err != nil {
+				if _, err := p.auditor.Respond(c); err != nil {
 					return // peer hung up, protocol error, or participant closing
 				}
 			}
@@ -544,12 +546,6 @@ func (p *Participant) bind() error {
 		p.cfg.logf("pvr: %s disclosure query plane listening on %s", p.asn, lis.Addr())
 	}
 	return nil
-}
-
-// handleBGPConn runs an accepted BGP session: serve the sealed table once
-// established, verify whatever the peer announces.
-func (p *Participant) handleBGPConn(c Conn) {
-	p.runSession(c)
 }
 
 // dialPeers establishes outbound sessions, bounded by ctx.
@@ -633,7 +629,7 @@ func (p *Participant) runSession(c Conn) {
 	}
 	p.sessionsOpened.Inc()
 	defer p.sessions.remove(s)
-	_ = s.RunContext(p.lifeCtx)
+	_ = s.Run(p.lifeCtx)
 }
 
 // advertiseTable sends every sealed prefix with its commitment chain to
@@ -838,12 +834,12 @@ func (p *Participant) verifySealedRoute(peer aspath.ASN, r route.Route, u bgp.Up
 			}
 		}
 	}
-	// Feed the session-carried seal into the audit pool: what a peer
+	// Feed the session-carried seal into the audit store: what a peer
 	// shows us over BGP must be the same statement it gossips, and the
 	// same statement it serves on the disclosure query plane. A conflict
 	// is transferable equivocation evidence — judged, convicted, and
-	// ledgered by ObserveStatement — and the route is rejected with it.
-	conflict, aerr := p.auditor.ObserveStatementTraced(seal.Epoch, seal.Statement(), tc)
+	// ledgered by AddRecord — and the route is rejected with it.
+	_, conflict, aerr := p.auditor.AddRecord(auditnet.Record{Epoch: seal.Epoch, S: seal.Statement(), Trace: tc})
 	if aerr != nil {
 		return errKind(KindVerification, "verify", aerr)
 	}
@@ -1025,8 +1021,13 @@ func (p *Participant) Reconcile(ctx context.Context, addr string) (*AuditStats, 
 		return nil, wrapErr("reconcile", err)
 	}
 	defer conn.Close()
-	st, err := p.auditor.ReconcileContext(ctx, conn)
+	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
+	defer stop()
+	st, err := p.auditor.Reconcile(conn)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr // the exchange failed because ctx closed the connection
+		}
 		return nil, wrapErr("reconcile", err)
 	}
 	return st, nil
@@ -1172,8 +1173,8 @@ func (p *Participant) teardown() {
 
 // sessionSet tracks live BGP sessions so window re-advertisement can
 // reach them. After markClosed, add refuses new sessions so none can
-// slip past teardown; the sessions themselves are closed by their
-// RunContext watchers when the participant's lifecycle context ends.
+// slip past teardown; the sessions themselves are closed by their Run
+// when the participant's lifecycle context ends.
 type sessionSet struct {
 	mu       sync.Mutex
 	closed   bool

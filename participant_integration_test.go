@@ -7,10 +7,13 @@ package pvr_test
 // equivocation, and the network-wide conviction that follows.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/netip"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -279,5 +282,118 @@ func TestOpenConfigErrors(t *testing.T) {
 	var pe *pvr.Error
 	if _, err := p.Reconcile(ctx, "nowhere"); !errors.As(err, &pe) || pe.Kind != pvr.KindNotFound {
 		t.Fatalf("Reconcile error does not expose Kind via errors.As: %v", err)
+	}
+}
+
+// TestReconcileDeadlineEndsAStalledExchange: Reconcile against a gossip
+// peer that accepts and reads but never answers gives up when its context
+// does, reporting context.DeadlineExceeded, instead of hanging; under a
+// context that has already ended it fails before any frame moves.
+func TestReconcileDeadlineEndsAStalledExchange(t *testing.T) {
+	tr := pvr.NewMemTransport()
+	var frames atomic.Int32
+	lis, err := tr.Listen("stall", func(c pvr.Conn) {
+		defer c.Close()
+		for {
+			if _, err := c.Recv(); err != nil {
+				return
+			}
+			frames.Add(1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	p, err := pvr.Open(context.Background(), pvr.WithASN(64502), pvr.WithTransport(tr), pvr.WithHoldTime(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	dead, kill := context.WithCancel(context.Background())
+	kill()
+	if _, err := p.Reconcile(dead, "stall"); !errors.Is(err, context.Canceled) || frames.Load() != 0 {
+		t.Fatalf("reconcile under an ended context: %v after %d frames, want context.Canceled before any", err, frames.Load())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	if _, err := p.Reconcile(ctx, "stall"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stalled reconcile: %v, want context.DeadlineExceeded", err)
+	}
+	if el := time.Since(t0); el > 5*time.Second {
+		t.Fatalf("stalled reconcile took %s to give up", el)
+	}
+}
+
+// TestCloseEndsABlockedGossipResponder: a participant whose gossip
+// responder is blocked mid-exchange — it has answered an initiator's
+// opening digest and waits for the next step — still closes, and every
+// goroutine it started is gone afterwards.
+func TestCloseEndsABlockedGossipResponder(t *testing.T) {
+	before := runtime.NumGoroutine()
+	func() {
+		ctx := context.Background()
+		tr := pvr.NewMemTransport()
+		// Capture a real initiator's opening DIGEST frame: q reconciles
+		// against a tap that keeps the frame and hangs up.
+		first := make(chan pvr.Frame, 1)
+		tap, err := tr.Listen("tap", func(c pvr.Conn) {
+			defer c.Close()
+			if f, err := c.Recv(); err == nil {
+				f.Payload = bytes.Clone(f.Payload)
+				first <- f
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tap.Close()
+		q, err := pvr.Open(ctx, pvr.WithASN(64501), pvr.WithTransport(tr), pvr.WithHoldTime(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		if _, err := q.Reconcile(ctx, "tap"); err == nil {
+			t.Fatal("reconcile against a tap that hangs up succeeded")
+		}
+
+		// p holds its own seals, so its digest differs from q's empty one
+		// and the round does not end after the summary step.
+		p, err := pvr.Open(ctx, pvr.WithASN(64500), pvr.WithTransport(tr), pvr.WithHoldTime(0),
+			pvr.WithOriginate(pvr.MustParsePrefix("203.0.113.0/24")), pvr.WithGossipListen("g"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := tr.Dial(ctx, "g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := conn.Send(<-first); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Recv(); err != nil {
+			t.Fatalf("responder's summary: %v", err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- p.Close() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close did not return with a gossip responder blocked mid-exchange")
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d after closing:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -389,7 +389,7 @@ func TestFleetCollectorStitchesTwoParticipants(t *testing.T) {
 	}
 	// The seal's trace must stitch across both participants: minted at
 	// A's announce ingestion, and re-recorded at B when the fetched seal
-	// entered B's audit pool.
+	// entered B's audit store.
 	ch := c.Chain(d.Trace.TraceID)
 	if ch == nil {
 		t.Fatalf("no chain for seal trace %s", d.Trace.TraceID)

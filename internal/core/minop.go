@@ -200,14 +200,23 @@ func (p *Prover) BeginEpoch(epoch uint64, pfx prefix.Prefix) {
 // signed receipt. Announcements for other prefixes, epochs, or recipients
 // are rejected.
 func (p *Prover) AcceptAnnouncement(a Announcement) (Receipt, error) {
-	if err := p.checkAnnouncement(&a); err != nil {
+	if err := p.Accept(a); err != nil {
 		return Receipt{}, err
+	}
+	return NewReceipt(p.signer, p.asn, &a)
+}
+
+// Accept is AcceptAnnouncement without the receipt, for callers that
+// acknowledge announcements some other way or not at all.
+func (p *Prover) Accept(a Announcement) error {
+	if err := p.checkAnnouncement(&a); err != nil {
+		return err
 	}
 	if err := a.Verify(p.reg); err != nil {
-		return Receipt{}, err
+		return err
 	}
 	p.inputs[a.Provider] = a
-	return NewReceipt(p.signer, p.asn, &a)
+	return nil
 }
 
 // AcceptPreverified records an input route whose signature the caller

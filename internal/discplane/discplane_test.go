@@ -67,7 +67,7 @@ func newFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.AcceptAnnouncement(f.ann, obs.TraceContext{}); err != nil {
+	if err := eng.AcceptAnnouncement(f.ann, obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SealEpoch(); err != nil {
@@ -155,7 +155,7 @@ func TestSealedExportPromiseeQueryVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.BeginEpoch(1)
-	if _, err := eng.AcceptAnnouncement(f.ann, obs.TraceContext{}); err != nil {
+	if err := eng.AcceptAnnouncement(f.ann, obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SealEpoch(); err != nil {

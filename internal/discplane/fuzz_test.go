@@ -46,7 +46,7 @@ func fuzzSeeds(f *testing.F) (query []byte, views [][]byte, denial []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
+	if err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := eng.SealEpoch(); err != nil {
@@ -82,7 +82,7 @@ func fuzzSeeds(f *testing.F) (query []byte, views [][]byte, denial []byte) {
 		f.Fatal(err)
 	}
 	seng.BeginEpoch(1)
-	if _, err := seng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
+	if err := seng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := seng.SealEpoch(); err != nil {

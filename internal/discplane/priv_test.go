@@ -81,7 +81,7 @@ func newPrivFixture(t testing.TB) *privFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
+		if err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 		f.anns[asn] = a

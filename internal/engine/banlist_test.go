@@ -18,7 +18,7 @@ func TestPipelineRejectsConvictedProver(t *testing.T) {
 	pfxs := testPrefixes(t, 4)
 	for _, pfx := range pfxs {
 		for _, ni := range []aspath.ASN{101, 102} {
-			if _, err := eng.AcceptAnnouncement(e.announce(t, ni, 1, pfx, 3), obs.TraceContext{}); err != nil {
+			if err := eng.AcceptAnnouncement(e.announce(t, ni, 1, pfx, 3), obs.TraceContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -29,6 +29,7 @@ import (
 	"pvr/internal/merkle"
 	"pvr/internal/obs"
 	"pvr/internal/prefix"
+	"pvr/internal/route"
 	"pvr/internal/sigs"
 	"pvr/internal/zkp"
 )
@@ -76,6 +77,11 @@ type Config struct {
 	// Tracer, when non-nil, receives lifecycle events (announce accepted,
 	// shard sealed) for the /trace feed.
 	Tracer *obs.Tracer
+	// Memo, when non-nil, memoizes ReplacePrefix's announcement checks: a
+	// flapping route announced again carries the same signed bytes, and is
+	// verified once. Every check through it must be against Registry's key
+	// set (see sigs.VerifyMemo.Bind).
+	Memo *sigs.VerifyMemo
 }
 
 func (c *Config) fill() {
@@ -150,6 +156,10 @@ type ProverEngine struct {
 	met *metrics
 	tr  *obs.Tracer
 
+	// annVer checks ReplacePrefix's candidates: ver, through Config.Memo
+	// when one is set.
+	annVer sigs.Verifier
+
 	mu      sync.RWMutex // guards epoch transitions vs. accepts/seals
 	epoch   uint64
 	window  uint64 // commitment window within the epoch (see Seal.Window)
@@ -173,6 +183,10 @@ func New(cfg Config) (*ProverEngine, error) {
 		ver: sigs.NewCachedVerifier(cfg.Registry),
 		met: newMetrics(cfg.Obs),
 		tr:  cfg.Tracer,
+	}
+	e.annVer = e.ver
+	if cfg.Memo != nil {
+		e.annVer = cfg.Memo.Bind(e.ver)
 	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
@@ -280,13 +294,14 @@ func (e *ProverEngine) shardOf(pfx prefix.Prefix) (*shard, uint32, error) {
 	return e.shards[i], i, nil
 }
 
-// AcceptAnnouncement verifies and records an input route for its prefix,
-// returning the prover's signed receipt. Concurrent calls for prefixes in
-// different shards proceed in parallel. tc is the distributed trace the
-// announcement continues; a zero tc mints a fresh trace. On success the
-// prefix's shard remembers tc, so the next seal of that shard (and every
-// downstream gossip/conviction event) stitches back to this ingestion.
-func (e *ProverEngine) AcceptAnnouncement(a core.Announcement, tc obs.TraceContext) (core.Receipt, error) {
+// AcceptAnnouncement verifies and records an input route for its prefix.
+// It signs no receipt (AcceptAll acknowledges a burst with one
+// ReceiptBatch). Concurrent calls for prefixes in different shards proceed
+// in parallel. tc is the distributed trace the announcement continues; a
+// zero tc mints a fresh trace. On success the prefix's shard remembers tc,
+// so the next seal of that shard (and every downstream gossip/conviction
+// event) stitches back to this ingestion.
+func (e *ProverEngine) AcceptAnnouncement(a core.Announcement, tc obs.TraceContext) error {
 	t0 := time.Now()
 	if tc.IsZero() {
 		tc = obs.NewTraceContext()
@@ -294,27 +309,27 @@ func (e *ProverEngine) AcceptAnnouncement(a core.Announcement, tc obs.TraceConte
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if !e.begun {
-		return core.Receipt{}, fmt.Errorf("engine: BeginEpoch not called")
+		return fmt.Errorf("engine: BeginEpoch not called")
 	}
 	s, _, err := e.shardOf(a.Route.Prefix)
 	if err != nil {
-		return core.Receipt{}, err
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sealed {
-		return core.Receipt{}, fmt.Errorf("engine: epoch %d already sealed", e.epoch)
+		return fmt.Errorf("engine: epoch %d already sealed", e.epoch)
 	}
 	p, ok := s.provers[a.Route.Prefix]
 	if !ok {
 		p, err = core.NewProver(e.cfg.ASN, e.cfg.Signer, e.ver, e.cfg.MaxLen)
 		if err != nil {
-			return core.Receipt{}, err
+			return err
 		}
 		p.BeginEpoch(e.epoch, a.Route.Prefix)
 		s.provers[a.Route.Prefix] = p
 	}
-	rc, err := p.AcceptAnnouncement(a)
+	err = p.Accept(a)
 	if err == nil {
 		s.dirty = true
 		s.trace = tc
@@ -328,7 +343,7 @@ func (e *ProverEngine) AcceptAnnouncement(a core.Announcement, tc obs.TraceConte
 			Prefix: a.Route.Prefix.String(), AS: uint32(a.Provider),
 		}.SetTrace(tc))
 	}
-	return rc, err
+	return err
 }
 
 // acceptPreverified records an announcement whose signature has already
@@ -654,7 +669,7 @@ func (e *ProverEngine) ReplacePrefix(pfx prefix.Prefix, anns []core.Announcement
 		if a.Route.Prefix != pfx {
 			return fmt.Errorf("engine: replace %s: announcement covers %s", pfx, a.Route.Prefix)
 		}
-		if err := a.Verify(e.ver); err != nil {
+		if err := a.Verify(e.annVer); err != nil {
 			return fmt.Errorf("engine: replace %s from %s: %w", pfx, a.Provider, err)
 		}
 		if err := p.AcceptPreverified(a); err != nil {
@@ -900,6 +915,23 @@ func (e *ProverEngine) Commitment(pfx prefix.Prefix) (*SealedCommitment, error) 
 	defer e.mu.RUnlock()
 	_, sc, _, err := e.sealedProver(pfx)
 	return sc, err
+}
+
+// Advertisement returns what a BGP speaker sends for one prefix: its
+// sealed commitment and the exported route (the winner with this AS
+// prepended). Nothing is signed; the caller signs the route body itself.
+func (e *ProverEngine) Advertisement(pfx prefix.Prefix) (*SealedCommitment, route.Route, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	p, sc, _, err := e.sealedProver(pfx)
+	if err != nil {
+		return nil, route.Route{}, err
+	}
+	exp, err := p.ExportUnsigned(0)
+	if err != nil {
+		return nil, route.Route{}, err
+	}
+	return sc, exp.Route, nil
 }
 
 // ProviderView is the engine's disclosure to a provider N_i for one

@@ -54,8 +54,7 @@ func ExampleProverEngine() {
 			NextHop: netip.MustParseAddr("192.0.2.1"),
 		})
 		check(err)
-		_, err = eng.AcceptAnnouncement(ann, obs.TraceContext{})
-		check(err)
+		check(eng.AcceptAnnouncement(ann, obs.TraceContext{}))
 		inputs = append(inputs, ann)
 	}
 	for i := 0; i < nPfx; i++ {

@@ -41,7 +41,7 @@ func TestProviders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
+		if err := e.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}

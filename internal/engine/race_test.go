@@ -44,7 +44,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(anns); i += writers {
-				if _, err := eng.AcceptAnnouncement(anns[i], obs.TraceContext{}); err != nil {
+				if err := eng.AcceptAnnouncement(anns[i], obs.TraceContext{}); err != nil {
 					errCh <- err
 					return
 				}
@@ -146,7 +146,7 @@ func TestEngineAcceptRacesSeal(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(anns); i += 4 {
-				_, err := eng.AcceptAnnouncement(anns[i], obs.TraceContext{})
+				err := eng.AcceptAnnouncement(anns[i], obs.TraceContext{})
 				switch {
 				case err == nil:
 					accepted[i] = true
@@ -220,7 +220,7 @@ func TestCrossShardEquivocationDetection(t *testing.T) {
 		eng := e.engine(t, 4, 8)
 		eng.BeginEpoch(1)
 		for i, pfx := range pfxs {
-			if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 1+i%8), obs.TraceContext{}); err != nil {
+			if err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 1+i%8), obs.TraceContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -309,7 +309,7 @@ func TestCrossShardEquivocationDetection(t *testing.T) {
 	// differs, so the shard-0 topics collide with different payloads.
 	otherLayout := e.engine(t, 8, 8)
 	otherLayout.BeginEpoch(1)
-	if _, err := otherLayout.AcceptAnnouncement(e.announce(t, 101, 1, pfxs[0], 2), obs.TraceContext{}); err != nil {
+	if err := otherLayout.AcceptAnnouncement(e.announce(t, 101, 1, pfxs[0], 2), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := otherLayout.SealEpoch(); err != nil {

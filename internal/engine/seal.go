@@ -188,13 +188,6 @@ func (sc *SealedCommitment) Verify(ver sigs.Verifier) error {
 	return sc.verify(func(s *Seal) error { return s.Verify(ver) })
 }
 
-// VerifyMemoized is Verify with the seal-signature check routed through a
-// shared sigs.VerifyMemo, so one seal covering many prefixes costs one
-// signature check across every query that shares the memo.
-func (sc *SealedCommitment) VerifyMemoized(ver sigs.Verifier, memo *sigs.VerifyMemo) error {
-	return sc.verify(func(s *Seal) error { return s.VerifyMemoized(ver, memo) })
-}
-
 // verify runs the content checks around an injected seal-signature check —
 // the pipeline passes a memoized one so each distinct seal's signature is
 // checked once per batch rather than once per leaf.

@@ -16,7 +16,7 @@ func buildTable(t *testing.T, e *env, eng *ProverEngine, n int) []prefix.Prefix 
 	eng.BeginEpoch(1)
 	pfxs := testPrefixes(t, n)
 	for i, pfx := range pfxs {
-		if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 1+i%8), obs.TraceContext{}); err != nil {
+		if err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 1+i%8), obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ func TestZKBindSealsAndVerifies(t *testing.T) {
 	pfxs := testPrefixes(t, 5)
 	for i, pfx := range pfxs {
 		for j := 0; j < k; j++ {
-			if _, err := eng.AcceptAnnouncement(e.announce(t, aspath.ASN(101+j), 1, pfx, 1+(i+j)%8), obs.TraceContext{}); err != nil {
+			if err := eng.AcceptAnnouncement(e.announce(t, aspath.ASN(101+j), 1, pfx, 1+(i+j)%8), obs.TraceContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -93,7 +93,7 @@ func TestZKStateInvalidatedOnChurn(t *testing.T) {
 	eng := zkEngine(t, e, 1, 8)
 	eng.BeginEpoch(1)
 	pfx := testPrefixes(t, 1)[0]
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 5), obs.TraceContext{}); err != nil {
+	if err := eng.AcceptAnnouncement(e.announce(t, 101, 1, pfx, 5), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SealEpoch(); err != nil {
@@ -133,10 +133,10 @@ func TestDiscloseAtLength(t *testing.T) {
 	eng.BeginEpoch(1)
 	pfx := testPrefixes(t, 1)[0]
 	a := e.announce(t, 101, 1, pfx, 3)
-	if _, err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
+	if err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.AcceptAnnouncement(e.announce(t, 102, 1, pfx, 5), obs.TraceContext{}); err != nil {
+	if err := eng.AcceptAnnouncement(e.announce(t, 102, 1, pfx, 5), obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SealEpoch(); err != nil {

@@ -272,7 +272,7 @@ func RunConvergence(cfg ConvergenceConfig) (*ConvergenceResult, error) {
 				return nil, err
 			}
 			res.SignOps++ // the origin's announcement signature
-			if _, err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
+			if err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
 				return nil, err
 			}
 			res.SignOps++   // the prover's receipt signature

@@ -202,7 +202,7 @@ func RunGossip(ctx context.Context, cfg GossipConfig) (*GossipResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				if _, err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
+				if err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
 					return nil, err
 				}
 			}

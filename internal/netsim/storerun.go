@@ -481,7 +481,7 @@ func runStoreReplay(ctx context.Context, cfg StoreConfig, res *StoreResult) erro
 	if err != nil {
 		return err
 	}
-	if _, err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
+	if err := eng.AcceptAnnouncement(a, obs.TraceContext{}); err != nil {
 		return err
 	}
 	if _, err := eng.SealEpoch(); err != nil {

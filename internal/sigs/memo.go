@@ -2,6 +2,8 @@ package sigs
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -47,7 +49,67 @@ type VerifyMemo struct {
 
 type memoStripe struct {
 	mu        sync.RWMutex
-	cur, prev map[[sha256.Size]byte]error
+	cur, prev memoGen
+}
+
+// memoGen is one generation of one stripe. A verdict is mostly "verified",
+// so those are kept as bare digests in an open-addressed table that
+// doubles on demand (32 B a slot, load kept at most 4/5); the rare
+// failures keep their error in a side map.
+type memoGen struct {
+	ok    [][sha256.Size]byte // linear probing; the zero digest marks a free slot
+	n     int                 // occupied slots of ok
+	fails map[[sha256.Size]byte]error
+}
+
+// memoMinSlots is the first table size: doubling it four times gives the
+// 5/4 · memoStripeGen slots a full generation needs at load 4/5.
+const memoMinSlots = memoStripeGen * 5 / 4 / 16
+
+func (g *memoGen) len() int { return g.n + len(g.fails) }
+
+// slot returns the index of k in ok, or of the free slot where it would go.
+// The table is never full, so the probe ends. Byte 0 of k picks the stripe;
+// the slot is drawn from bytes the stripe index does not use.
+func (g *memoGen) slot(k [sha256.Size]byte) int {
+	i := int(uint64(binary.LittleEndian.Uint32(k[8:])) * uint64(len(g.ok)) >> 32)
+	for g.ok[i] != k && g.ok[i] != ([sha256.Size]byte{}) {
+		if i++; i == len(g.ok) {
+			i = 0
+		}
+	}
+	return i
+}
+
+func (g *memoGen) lookup(k [sha256.Size]byte) (error, bool) {
+	if g.n > 0 && k != ([sha256.Size]byte{}) && g.ok[g.slot(k)] == k {
+		return nil, true
+	}
+	err, ok := g.fails[k]
+	return err, ok
+}
+
+func (g *memoGen) add(k [sha256.Size]byte, err error) {
+	if err != nil || k == ([sha256.Size]byte{}) {
+		if g.fails == nil {
+			g.fails = make(map[[sha256.Size]byte]error)
+		}
+		g.fails[k] = err
+		return
+	}
+	if (g.n+1)*5 > len(g.ok)*4 {
+		old := g.ok
+		g.ok = make([][sha256.Size]byte, max(2*len(old), memoMinSlots))
+		for _, o := range old {
+			if o != ([sha256.Size]byte{}) {
+				g.ok[g.slot(o)] = o
+			}
+		}
+	}
+	if i := g.slot(k); g.ok[i] != k {
+		g.ok[i] = k
+		g.n++
+	}
 }
 
 // NewVerifyMemo returns an empty memo.
@@ -58,21 +120,18 @@ func NewVerifyMemo() *VerifyMemo { return &VerifyMemo{} }
 func (s *memoStripe) lookup(k [sha256.Size]byte) (err error, ok, current bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err, ok = s.cur[k]; ok {
+	if err, ok = s.cur.lookup(k); ok {
 		return err, true, true
 	}
-	err, ok = s.prev[k]
+	err, ok = s.prev.lookup(k)
 	return err, ok, false
 }
 
 func (s *memoStripe) store(k [sha256.Size]byte, err error) {
 	s.mu.Lock()
-	if s.cur == nil {
-		s.cur = make(map[[sha256.Size]byte]error)
-	}
-	s.cur[k] = err
-	if len(s.cur) >= memoStripeGen {
-		s.prev, s.cur = s.cur, nil
+	s.cur.add(k, err)
+	if s.cur.len() >= memoStripeGen {
+		s.prev, s.cur = s.cur, memoGen{}
 	}
 	s.mu.Unlock()
 }
@@ -106,7 +165,8 @@ func (m *VerifyMemo) Verify(ver Verifier, asn aspath.ASN, msg, sig []byte) error
 // It is the memo's general form, for verdicts other than one signature
 // (a zero-knowledge proof, say): key must be a collision-resistant digest
 // of everything check's outcome depends on, under a domain tag of the
-// caller's own.
+// caller's own. An ErrUnknownKey failure is not memoized: it says the
+// registry lacks the key so far, not that the signature is bad.
 func (m *VerifyMemo) Do(key [sha256.Size]byte, check func() error) error {
 	s := &m.stripes[key[0]&(memoStripes-1)]
 	err, ok, current := s.lookup(key)
@@ -118,6 +178,9 @@ func (m *VerifyMemo) Do(key [sha256.Size]byte, check func() error) error {
 	} else {
 		err = check()
 		m.misses.Add(1)
+		if errors.Is(err, ErrUnknownKey) {
+			return err
+		}
 	}
 	s.store(key, err)
 	return err
@@ -166,7 +229,7 @@ func (m *VerifyMemo) Len() int {
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.RLock()
-		n += len(s.cur) + len(s.prev)
+		n += s.cur.len() + s.prev.len()
 		s.mu.RUnlock()
 	}
 	return n

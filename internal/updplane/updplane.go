@@ -125,8 +125,8 @@ type Config struct {
 	// MaxBatch forces a window once this many events have accumulated
 	// (default 4096).
 	MaxBatch int
-	// Workers sizes the pool that rebuilds dirty per-prefix prover state
-	// (default GOMAXPROCS).
+	// Workers sizes the pool that rebuilds dirty per-prefix prover state,
+	// which Each also runs on (default GOMAXPROCS).
 	Workers int
 	// OnWindow, when non-nil, observes every sealed window, called
 	// synchronously from the plane's loop (keep it fast; hand off to a
@@ -184,8 +184,10 @@ type Stats struct {
 // Plane is the streaming update plane. Create with New, feed with
 // Submit/TrySubmit (any goroutine), and stop with Close.
 type Plane struct {
-	cfg   Config
-	queue chan Event
+	cfg Config
+	// queue holds pointers: an Event is over 200 B, and a buffer of values
+	// would cost every plane that much per slot before it sees any event.
+	queue chan *Event
 
 	// Loop-owned routing state: the Adj-RIB-In of learned routes, the
 	// decision-process Loc-RIB, and the signed announcements backing each
@@ -230,7 +232,7 @@ func New(cfg Config) (*Plane, error) {
 	}
 	p := &Plane{
 		cfg:     cfg,
-		queue:   make(chan Event, cfg.QueueSize),
+		queue:   make(chan *Event, cfg.QueueSize),
 		adjIn:   bgp.NewAdjRIBIn(),
 		loc:     bgp.NewLocRIB(),
 		anns:    make(map[prefix.Prefix]map[aspath.ASN]core.Announcement),
@@ -260,7 +262,7 @@ func (p *Plane) Submit(ev Event) error {
 	if p.closed {
 		return ErrClosed
 	}
-	p.queue <- ev
+	p.queue <- &ev
 	p.noteDepth()
 	return nil
 }
@@ -278,7 +280,7 @@ func (p *Plane) SubmitContext(ctx context.Context, ev Event) error {
 		return ErrClosed
 	}
 	select {
-	case p.queue <- ev:
+	case p.queue <- &ev:
 		p.noteDepth()
 		return nil
 	case <-ctx.Done():
@@ -295,7 +297,7 @@ func (p *Plane) TrySubmit(ev Event) error {
 		return ErrClosed
 	}
 	select {
-	case p.queue <- ev:
+	case p.queue <- &ev:
 		p.noteDepth()
 		return nil
 	default:
@@ -468,7 +470,7 @@ func (p *Plane) drainQueue() {
 // apply folds one event into the RIB and the dirty set. Announcements are
 // recorded unverified here — signature checks run in parallel at window
 // time, inside engine.ReplacePrefix.
-func (p *Plane) apply(ev Event) {
+func (p *Plane) apply(ev *Event) {
 	p.met.events.Inc()
 	p.pending++
 	if ev.Trace.IsZero() {
@@ -534,50 +536,23 @@ func (p *Plane) sealWindow() (WindowResult, error) {
 	res.Prefixes = work
 
 	t0 := time.Now()
-	workers := p.cfg.Workers
-	if workers > len(work) {
-		workers = len(work)
-	}
 	// Workers only read the table and call into the engine (shard-local
 	// locking makes distinct prefixes safe); table mutations — eviction of
 	// candidates whose signatures fail — are collected per prefix and
 	// applied after the barrier, back on the loop goroutine.
 	var (
-		removed  atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-		evicted  = make([][]aspath.ASN, len(work))
+		removed atomic.Int64
+		evicted = make([][]aspath.ASN, len(work))
+		errs    = make([]error, len(work))
 	)
-	runWorker := func(w int) {
-		for i := w; i < len(work); i += workers {
-			ev, err := p.applyPrefix(work[i], traces[work[i]], &removed)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			evicted[i] = ev
+	p.Each(len(work), func(i int) {
+		evicted[i], errs[i] = p.applyPrefix(work[i], traces[work[i]], &removed)
+	})
+	for _, err := range errs {
+		if err != nil {
+			p.failWindow(work, err)
+			return res, err
 		}
-	}
-	if workers <= 1 {
-		runWorker(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runWorker(w)
-			}(w)
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		p.failWindow(work, firstErr)
-		return res, firstErr
 	}
 	for i, peers := range evicted {
 		pfx := work[i]
@@ -640,6 +615,31 @@ func (p *Plane) sealWindow() (WindowResult, error) {
 		p.cfg.OnWindow(res)
 	}
 	return res, nil
+}
+
+// Each runs fn(i) for every i in [0, n) on the plane's worker pool, at
+// most Config.Workers goroutines, and returns once all calls have. The
+// window's dirty prefixes are applied through it; an OnWindow callback may
+// use it for per-prefix work of its own.
+func (p *Plane) Each(n int, fn func(i int)) {
+	workers := min(p.cfg.Workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				fn(i)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // failWindow records a window failure and re-marks its prefixes dirty so

@@ -173,8 +173,9 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithWorkers sizes the update plane's dirty-prefix rebuild pool
-// (0 = GOMAXPROCS).
+// WithWorkers sizes the update plane's worker pool (0 = GOMAXPROCS): it
+// rebuilds a window's dirty prefixes and then builds and signs the
+// window's re-advertised UPDATEs.
 func WithWorkers(n int) Option {
 	return func(c *participantConfig) error {
 		if n < 0 {

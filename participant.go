@@ -111,10 +111,11 @@ type Participant struct {
 	queriesSent    *obs.Counter
 
 	// verdicts memoizes verification verdicts across this participant's
-	// disclosure queries, BGP-carried seal verification, the gossip observe
-	// path and auditor-proof checks: every signature a fetched view
-	// carries, keyed on (signer, message, signature), and every
-	// zero-knowledge vector proof, keyed on what it proves. Bounded (two
+	// disclosure queries, BGP-carried seal and route-signature checks, the
+	// engine's checks of streamed announcements, the gossip observe path
+	// and auditor-proof checks: every signature, keyed on (signer,
+	// message, signature), and every zero-knowledge vector proof, keyed
+	// on what it proves. Bounded (two
 	// generations, sigs.MemoCap). Only checks against the participant's
 	// own registry go through it — trust-on-first-use scratch registries
 	// must not seed it, since a memoized signature verdict is a function
@@ -231,8 +232,8 @@ func (p *Participant) buildEngine() error {
 	eng, err := engine.New(engine.Config{
 		ASN: p.asn, Signer: p.signer, Registry: p.reg,
 		Shards: p.cfg.shards, MaxLen: p.cfg.maxLen, Workers: p.cfg.workers,
-		ZKBind: p.cfg.zkBind,
-		Obs:    p.obsReg, Tracer: p.tracer,
+		ZKBind: p.cfg.zkBind, Memo: p.verdicts,
+		Obs: p.obsReg, Tracer: p.tracer,
 	})
 	if err != nil {
 		return wrapErr("open", err)
@@ -267,7 +268,7 @@ func (p *Participant) buildEngine() error {
 		if err != nil {
 			return wrapErr("open", err)
 		}
-		if _, err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
+		if err := eng.AcceptAnnouncement(ann, obs.TraceContext{}); err != nil {
 			return wrapErr("open", err)
 		}
 	}
@@ -435,22 +436,7 @@ func (p *Participant) onWindow(w updplane.WindowResult) {
 			p.cfg.logf("pvr: window %d audit: %v", w.Window, err)
 		}
 	}
-	var batch []bgp.Update
-	var sent, withdrawn int
-	for _, pfx := range w.Prefixes {
-		u, ok, err := p.updateFor(pfx)
-		if err != nil {
-			p.cfg.logf("pvr: window %d %s: %v", w.Window, pfx, err)
-			continue
-		}
-		if !ok {
-			u = bgp.Update{Withdrawn: []prefix.Prefix{pfx}}
-			withdrawn++
-		} else {
-			sent++
-		}
-		batch = append(batch, u)
-	}
+	batch, sent, withdrawn := p.windowUpdates(w)
 	select {
 	case p.advertise <- batch:
 	default:
@@ -462,6 +448,39 @@ func (p *Participant) onWindow(w updplane.WindowResult) {
 	if p.dstate != nil {
 		p.dstate.maybeSnapshot()
 	}
+}
+
+// windowUpdates builds the UPDATE for each of the window's prefixes, in
+// w.Prefixes order: the prefix's sealed route, or its withdrawal once it
+// has left the table. Each advertised route costs one signature, so the
+// UPDATEs are built on the plane's worker pool.
+func (p *Participant) windowUpdates(w updplane.WindowResult) (batch []bgp.Update, sent, withdrawn int) {
+	type built struct {
+		u   bgp.Update
+		ok  bool
+		err error
+	}
+	out := make([]built, len(w.Prefixes))
+	p.plane.Each(len(out), func(i int) {
+		b := &out[i]
+		b.u, b.ok, b.err = p.updateFor(w.Prefixes[i])
+	})
+	batch = make([]bgp.Update, 0, len(out))
+	for i, b := range out {
+		pfx := w.Prefixes[i]
+		switch {
+		case b.err != nil:
+			p.cfg.logf("pvr: window %d %s: %v", w.Window, pfx, b.err)
+			continue
+		case b.ok:
+			sent++
+		default:
+			b.u = bgp.Update{Withdrawn: []prefix.Prefix{pfx}}
+			withdrawn++
+		}
+		batch = append(batch, b.u)
+	}
+	return batch, sent, withdrawn
 }
 
 // bind starts the BGP and gossip listeners. The lifecycle closer is
@@ -665,7 +684,7 @@ func (p *Participant) advertiseTable(s *bgp.Session) {
 // commitment chain attached; ok is false when the prefix is no longer in
 // the sealed table (callers withdraw instead).
 func (p *Participant) updateFor(pfx Prefix) (bgp.Update, bool, error) {
-	sc, err := p.eng.Commitment(pfx)
+	sc, exported, err := p.eng.Advertisement(pfx)
 	if err != nil {
 		return bgp.Update{}, false, nil // withdrawn (or not yet re-sealed)
 	}
@@ -681,14 +700,10 @@ func (p *Participant) updateFor(pfx Prefix) (bgp.Update, bool, error) {
 	if err != nil {
 		return bgp.Update{}, false, err
 	}
-	pv, err := p.eng.DiscloseToPromisee(pfx, 0) // exported route for any promisee
-	if err != nil {
-		return bgp.Update{}, false, err
-	}
 	// The route body itself is signed per route (§3.2 announcement
 	// signing): the sealed commitment authenticates the promise state, not
 	// the path and next hop the update carries.
-	body, err := pv.Export.Route.MarshalBinary()
+	body, err := exported.MarshalBinary()
 	if err != nil {
 		return bgp.Update{}, false, err
 	}
@@ -697,7 +712,7 @@ func (p *Participant) updateFor(pfx Prefix) (bgp.Update, bool, error) {
 		return bgp.Update{}, false, err
 	}
 	u := bgp.Update{
-		Announced: []route.Route{pv.Export.Route},
+		Announced: []route.Route{exported},
 		Attachments: map[string][]byte{
 			"pvr/sig":   routeSig,
 			"pvr/mc":    mcBytes,
@@ -752,7 +767,13 @@ func (p *Participant) verifySealedRoute(peer aspath.ASN, r route.Route, u bgp.Up
 	if mcBytes == nil || proofBytes == nil || sealBytes == nil {
 		return errKind(KindVerification, "verify", fmt.Errorf("missing engine attachments"))
 	}
-	ver := sigs.Verifier(p.reg)
+	// On the shared-registry path both signature checks go through the
+	// verdict memo: Ed25519 is deterministic, so a flapping route announced
+	// again carries the same signed bytes, and a sealed update stream
+	// re-ships the same shard seal with every prefix in the shard. A
+	// trust-on-first-use check is relative to the candidate key and must
+	// not seed the memo.
+	ver := p.memoVer
 	var pinned sigs.PublicKey
 	if !*haveKey {
 		if p.cfg.registry != nil {
@@ -798,10 +819,6 @@ func (p *Participant) verifySealedRoute(peer aspath.ASN, r route.Route, u bgp.Up
 	if err := proof.UnmarshalBinary(proofBytes); err != nil {
 		return errKind(KindVerification, "verify", err)
 	}
-	// A sealed update stream re-ships the same shard seal with every
-	// prefix in the shard, so the seal-signature check is memoized — but
-	// only on the shared-registry path. A trust-on-first-use scratch check
-	// is relative to the candidate key and must not seed the memo.
 	sc := engine.SealedCommitment{MC: mc, Proof: &proof, Seal: &seal}
 	// A prover sealing with WithZKDisclosure binds the prefix's Pedersen
 	// vector digest into the leaf; without it the leaf cannot be rebuilt.
@@ -812,12 +829,7 @@ func (p *Participant) verifySealedRoute(peer aspath.ASN, r route.Route, u bgp.Up
 		copy(sc.ZKDigest[:], zk)
 		sc.HasZK = true
 	}
-	if pinned == nil {
-		err = sc.VerifyMemoized(ver, p.verdicts)
-	} else {
-		err = sc.Verify(ver)
-	}
-	if err != nil {
+	if err := sc.Verify(ver); err != nil {
 		return errKind(KindVerification, "verify", err)
 	}
 	if pinned != nil {

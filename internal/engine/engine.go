@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -116,34 +117,86 @@ type sealedExport struct {
 	op   commit.Opening
 }
 
-// shard holds the per-prefix prover state for one hash slice of the table.
+// shard holds the per-prefix prover state for one hash slice of the table
+// and its Merkle tree, kept between seals (see sealShardLocked).
 type shard struct {
 	mu      sync.Mutex
 	provers map[prefix.Prefix]*core.Prover
-	// leaves caches each prefix's canonical leaf bytes (commitment bytes,
-	// plus the export commitment when the engine seals exports) so a
-	// dirty re-seal recomputes commitments only for the prefixes that
-	// actually changed; an entry is dropped whenever its prover is
-	// replaced.
-	leaves map[prefix.Prefix][]byte
+	// order is the shard's prefixes in leaf order (ascending), each with
+	// its cached canonical leaf bytes; a nil leaf is recomputed at the
+	// next seal. put keeps it sorted by binary search.
+	order []leafSlot
+	// moved is the lowest leaf index whose prefix changed since the tree
+	// was built (len(order) when none did): inserts and withdrawals shift
+	// every later index, and the leaf hash binds the index. stale lists
+	// the prefixes below moved whose leaves were replaced in place.
+	moved int
+	stale []prefix.Prefix
 	// exports holds the sealed export material per prefix, populated
-	// alongside leaves when Config.Promisee is set.
+	// with its leaf when Config.Promisee is set.
 	exports map[prefix.Prefix]*sealedExport
 	// zk holds the Pedersen bit-vector material per prefix, populated
-	// alongside leaves when Config.ZKBind is set and invalidated with them.
+	// with its leaf when Config.ZKBind is set.
 	zk map[prefix.Prefix]*zkState
-	// dirty marks the shard as changed since its last seal; SealDirty
-	// rebuilds only dirty shards and merely re-signs the rest.
-	dirty bool
 	// trace is the distributed trace context of the announcement that most
 	// recently dirtied the shard; the next seal inherits it (Seal.Trace) so
 	// the sealing and gossip events downstream stitch to the ingest event.
 	trace obs.TraceContext
-	// Set by sealShard:
+	// Set by sealShardLocked; put clears sealed, so SealDirty rebuilds only
+	// unsealed shards and merely re-signs the rest. The tree is updated in
+	// place under mu, which is safe because an unsealed shard answers no
+	// reader; serving the last sealed window during a seal would need a
+	// copy-on-write tree.
 	seal   *Seal
-	batch  *merkle.Batch
-	index  map[prefix.Prefix]int // prefix -> leaf index
+	batch  merkle.Batch
 	sealed bool
+}
+
+// leafSlot is one prefix's place in its shard's leaf order.
+type leafSlot struct {
+	pfx  prefix.Prefix
+	leaf []byte
+}
+
+// reset empties the shard for a new epoch.
+func (s *shard) reset() {
+	s.provers = make(map[prefix.Prefix]*core.Prover)
+	s.exports = make(map[prefix.Prefix]*sealedExport)
+	s.zk = make(map[prefix.Prefix]*zkState)
+	s.order, s.moved, s.stale = nil, 0, nil
+	s.trace = obs.TraceContext{}
+	s.seal, s.batch, s.sealed = nil, merkle.Batch{}, false
+}
+
+// find returns pfx's leaf index, or where it would be inserted.
+func (s *shard) find(pfx prefix.Prefix) (int, bool) {
+	return slices.BinarySearchFunc(s.order, pfx, func(l leafSlot, p prefix.Prefix) int { return l.pfx.Compare(p) })
+}
+
+// put installs p as pfx's prover, or withdraws pfx (present) when p is
+// nil, and un-seals the shard. It is the one place a prefix's leaf
+// material is dropped, so the next seal rehashes exactly what changed.
+func (s *shard) put(pfx prefix.Prefix, p *core.Prover, tc obs.TraceContext) {
+	i, found := s.find(pfx)
+	switch {
+	case p == nil:
+		delete(s.provers, pfx)
+		s.order = slices.Delete(s.order, i, i+1)
+		s.moved = min(s.moved, i)
+	case !found:
+		s.provers[pfx] = p
+		s.order = slices.Insert(s.order, i, leafSlot{pfx: pfx})
+		s.moved = min(s.moved, i)
+	default:
+		s.provers[pfx] = p
+		s.order[i].leaf = nil
+		if i < s.moved {
+			s.stale = append(s.stale, pfx)
+		}
+	}
+	delete(s.exports, pfx)
+	delete(s.zk, pfx)
+	s.trace, s.sealed = tc, false
 }
 
 // ProverEngine is a sharded multi-prefix prover. Methods are safe for
@@ -165,6 +218,7 @@ type ProverEngine struct {
 	window  uint64 // commitment window within the epoch (see Seal.Window)
 	begun   bool
 	resumed bool // epoch entered via ResumeEpoch: never reuse the recovered window
+	sealed  bool // a seal ran this epoch: AcceptAnnouncement and AcceptAll refuse
 	shards  []*shard
 }
 
@@ -190,12 +244,8 @@ func New(cfg Config) (*ProverEngine, error) {
 	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
-		e.shards[i] = &shard{
-			provers: make(map[prefix.Prefix]*core.Prover),
-			leaves:  make(map[prefix.Prefix][]byte),
-			exports: make(map[prefix.Prefix]*sealedExport),
-			zk:      make(map[prefix.Prefix]*zkState),
-		}
+		e.shards[i] = &shard{}
+		e.shards[i].reset()
 	}
 	if cfg.Obs != nil {
 		e.registerGauges(cfg.Obs)
@@ -237,15 +287,10 @@ func (e *ProverEngine) BeginEpoch(epoch uint64) {
 	e.window = 0
 	e.begun = true
 	e.resumed = false
+	e.sealed = false
 	for _, s := range e.shards {
 		s.mu.Lock()
-		s.provers = make(map[prefix.Prefix]*core.Prover)
-		s.leaves = make(map[prefix.Prefix][]byte)
-		s.exports = make(map[prefix.Prefix]*sealedExport)
-		s.zk = make(map[prefix.Prefix]*zkState)
-		s.dirty = false
-		s.trace = obs.TraceContext{}
-		s.seal, s.batch, s.index, s.sealed = nil, nil, nil, false
+		s.reset()
 		s.mu.Unlock()
 	}
 }
@@ -311,70 +356,42 @@ func (e *ProverEngine) AcceptAnnouncement(a core.Announcement, tc obs.TraceConte
 	if !e.begun {
 		return fmt.Errorf("engine: BeginEpoch not called")
 	}
-	s, _, err := e.shardOf(a.Route.Prefix)
-	if err != nil {
+	if err := e.acceptLocked(a, tc, (*core.Prover).Accept); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sealed {
-		return fmt.Errorf("engine: epoch %d already sealed", e.epoch)
-	}
-	p, ok := s.provers[a.Route.Prefix]
-	if !ok {
-		p, err = core.NewProver(e.cfg.ASN, e.cfg.Signer, e.ver, e.cfg.MaxLen)
-		if err != nil {
-			return err
-		}
-		p.BeginEpoch(e.epoch, a.Route.Prefix)
-		s.provers[a.Route.Prefix] = p
-	}
-	err = p.Accept(a)
-	if err == nil {
-		s.dirty = true
-		s.trace = tc
-		delete(s.leaves, a.Route.Prefix)
-		delete(s.exports, a.Route.Prefix)
-		delete(s.zk, a.Route.Prefix)
-		e.met.accepts.Inc()
-		e.met.acceptSec.ObserveSince(t0)
-		e.tr.Record(obs.Event{
-			Kind: obs.EvAnnounceAccepted, Epoch: e.epoch,
-			Prefix: a.Route.Prefix.String(), AS: uint32(a.Provider),
-		}.SetTrace(tc))
-	}
-	return err
+	e.met.accepts.Inc()
+	e.met.acceptSec.ObserveSince(t0)
+	e.tr.Record(obs.Event{
+		Kind: obs.EvAnnounceAccepted, Epoch: e.epoch,
+		Prefix: a.Route.Prefix.String(), AS: uint32(a.Provider),
+	}.SetTrace(tc))
+	return nil
 }
 
-// acceptPreverified records an announcement whose signature has already
-// been checked (the AcceptAll batch pass), spending only content checks.
-func (e *ProverEngine) acceptPreverified(a core.Announcement) error {
+// acceptLocked records a on its prefix's prover through check (Accept, or
+// AcceptPreverified for a signature already checked); the caller holds
+// e.mu. A prefix gets a prover only once an announcement for it passes.
+func (e *ProverEngine) acceptLocked(a core.Announcement, tc obs.TraceContext, check func(*core.Prover, core.Announcement) error) error {
+	if e.sealed {
+		return fmt.Errorf("engine: epoch %d already sealed", e.epoch)
+	}
 	s, _, err := e.shardOf(a.Route.Prefix)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sealed {
-		return fmt.Errorf("engine: epoch %d already sealed", e.epoch)
-	}
 	p, ok := s.provers[a.Route.Prefix]
 	if !ok {
-		p, err = core.NewProver(e.cfg.ASN, e.cfg.Signer, e.ver, e.cfg.MaxLen)
-		if err != nil {
+		if p, err = core.NewProver(e.cfg.ASN, e.cfg.Signer, e.ver, e.cfg.MaxLen); err != nil {
 			return err
 		}
 		p.BeginEpoch(e.epoch, a.Route.Prefix)
-		s.provers[a.Route.Prefix] = p
 	}
-	if err := p.AcceptPreverified(a); err != nil {
+	if err := check(p, a); err != nil {
 		return err
 	}
-	s.dirty = true
-	s.trace = obs.NewTraceContext()
-	delete(s.leaves, a.Route.Prefix)
-	delete(s.exports, a.Route.Prefix)
-	delete(s.zk, a.Route.Prefix)
+	s.put(a.Route.Prefix, p, tc)
 	return nil
 }
 
@@ -415,7 +432,7 @@ func (e *ProverEngine) AcceptAll(anns []core.Announcement, writers int) (*core.R
 	}
 	// Content checks and shard ingest, striped across writers.
 	ingest := func(a core.Announcement) error {
-		if err := e.acceptPreverified(a); err != nil {
+		if err := e.acceptLocked(a, obs.NewTraceContext(), (*core.Prover).AcceptPreverified); err != nil {
 			return fmt.Errorf("engine: accept %s from %s: %w", a.Route.Prefix, a.Provider, err)
 		}
 		return nil
@@ -461,9 +478,9 @@ func (e *ProverEngine) AcceptAll(anns []core.Announcement, writers int) (*core.R
 // SealEpoch commits every shard in parallel: each shard computes its
 // per-prefix bit-vector commitments, Merkle-batches their canonical bytes,
 // and signs the root once. Idempotent; shards with no prefixes produce no
-// seal. After sealing, AcceptAnnouncement fails until the next BeginEpoch
-// (streaming callers mutate sealed state with ReplacePrefix/RemovePrefix
-// and re-seal with SealDirty instead).
+// seal. After sealing (or SealDirty), AcceptAnnouncement and AcceptAll
+// fail until the next BeginEpoch (streaming callers mutate sealed state
+// with ReplacePrefix/RemovePrefix and re-seal with SealDirty instead).
 //
 // On an engine that has already streamed (Window > 0), sealing a mutated
 // shard under the *current* window would publish a second root for a
@@ -476,6 +493,7 @@ func (e *ProverEngine) SealEpoch() ([]*Seal, error) {
 	if !e.begun {
 		return nil, fmt.Errorf("engine: BeginEpoch not called")
 	}
+	e.sealed = true
 	allSealed := true
 	for _, s := range e.shards {
 		s.mu.Lock()
@@ -520,10 +538,11 @@ func (e *ProverEngine) SealEpoch() ([]*Seal, error) {
 	return e.sealsLocked(), nil
 }
 
-// sealShardLocked (re)builds one shard's Merkle batch and signs its seal
-// for the given window. The caller holds s.mu. Per-prefix commitment bytes
-// are served from the shard's leaf cache when present — under streaming
-// churn only the prefixes whose provers were replaced recompute.
+// sealShardLocked brings one shard's Merkle tree up to date and signs its
+// seal for the given window. The caller holds s.mu. The work is
+// proportional to the change: only the leaves put dropped or shifted are
+// recomputed and rehashed, with their ⌈log₂n⌉ ancestors; a first seal is
+// the same routine with every leaf changed.
 func (e *ProverEngine) sealShardLocked(idx uint32, s *shard, window uint64) error {
 	t0 := time.Now()
 	seal := &Seal{
@@ -538,80 +557,27 @@ func (e *ProverEngine) sealShardLocked(idx uint32, s *shard, window uint64) erro
 	// exactly Shards seals, so shard 0 always exists and two seal sets
 	// with different layouts are guaranteed to collide on a gossip topic
 	// (their signed Shards fields differ), surfacing the equivocation.
-	if len(s.provers) > 0 {
-		// Deterministic leaf order: sorted by prefix.
-		pfxs := make([]prefix.Prefix, 0, len(s.provers))
-		for pfx := range s.provers {
-			pfxs = append(pfxs, pfx)
-		}
-		sort.Slice(pfxs, func(i, j int) bool { return pfxs[i].Compare(pfxs[j]) < 0 })
-		leaves := make([][]byte, len(pfxs))
-		s.index = make(map[prefix.Prefix]int, len(pfxs))
-		for i, pfx := range pfxs {
-			leaf, ok := s.leaves[pfx]
-			if !ok {
-				mc, err := s.provers[pfx].CommitMinUnsigned()
+	if n := len(s.order); n > 0 {
+		changed := s.changed()
+		for _, i := range changed {
+			if s.order[i].leaf == nil {
+				leaf, err := e.leaf(s, s.order[i].pfx)
 				if err != nil {
 					return err
 				}
-				if leaf, err = mc.SignedBytes(); err != nil {
-					return err
-				}
-				if e.cfg.Promisee != 0 {
-					// Bind a hiding commitment to the prefix's export
-					// statement into the leaf: the seal then vouches for
-					// the export without a per-prefix signature, and
-					// providers (who see the leaf via inclusion proofs)
-					// learn nothing about what was exported.
-					exp, err := s.provers[pfx].ExportUnsigned(e.cfg.Promisee)
-					if err != nil {
-						return err
-					}
-					eb, err := exp.SignedBytes()
-					if err != nil {
-						return err
-					}
-					cm, op, err := e.cm.Commit(exportCommitTag, eb)
-					if err != nil {
-						return err
-					}
-					s.exports[pfx] = &sealedExport{stmt: exp, cm: cm, op: op}
-					leaf = append(leaf, cm[:]...)
-				}
-				if e.cfg.ZKBind {
-					// Bind the digest of a Pedersen commitment vector over
-					// the committed bits into the leaf. The seal signature
-					// then vouches for the Pedersen vector alongside the
-					// hash-based one, letting the privacy plane hand third
-					// parties Σ-protocol proofs that verify against the
-					// gossiped seal.
-					bits, err := s.provers[pfx].CommittedBits()
-					if err != nil {
-						return err
-					}
-					cs, os, err := zkp.CommitBits(bits)
-					if err != nil {
-						return err
-					}
-					z := &zkState{cs: cs, os: os, digest: zkp.DigestCommitments(cs)}
-					s.zk[pfx] = z
-					leaf = append(leaf, z.digest[:]...)
-				}
-				s.leaves[pfx] = leaf
+				s.order[i].leaf = leaf
 			}
-			leaves[i] = leaf
-			s.index[pfx] = i
 		}
-		batch, err := merkle.NewBatch(leaves)
-		if err != nil {
+		if err := s.batch.Update(n, changed, func(i int) []byte { return s.order[i].leaf }); err != nil {
 			return err
 		}
-		s.batch = batch
-		seal.Count = uint32(batch.Len())
-		seal.Root = batch.Root()
+		e.met.leavesHashed.Add(uint64(len(changed)))
+		seal.Count = uint32(n)
+		seal.Root = s.batch.Root()
 	} else {
-		s.batch, s.index = nil, nil
+		s.batch = merkle.Batch{}
 	}
+	s.moved, s.stale = len(s.order), s.stale[:0]
 	var err error
 	if seal.Sig, err = e.cfg.Signer.Sign(seal.SignedBytes()); err != nil {
 		return err
@@ -621,7 +587,6 @@ func (e *ProverEngine) sealShardLocked(idx uint32, s *shard, window uint64) erro
 	// returning a seal set with holes.
 	s.seal = seal
 	s.sealed = true
-	s.dirty = false
 	e.met.shardSealSec.ObserveSince(t0)
 	e.met.sealsTotal.Inc()
 	e.met.shardsRebuilt.Inc()
@@ -630,6 +595,76 @@ func (e *ProverEngine) sealShardLocked(idx uint32, s *shard, window uint64) erro
 		Shard: int(idx), Note: fmt.Sprintf("%d prefixes", seal.Count),
 	}.SetTrace(s.trace))
 	return nil
+}
+
+// changed returns the leaf indices the next seal must rehash, ascending:
+// those of the prefixes replaced in place below moved, then every index
+// from moved on.
+func (s *shard) changed() []int {
+	out := make([]int, 0, len(s.stale)+len(s.order)-s.moved)
+	for _, pfx := range s.stale {
+		if i, ok := s.find(pfx); ok && i < s.moved {
+			out = append(out, i)
+		}
+	}
+	slices.Sort(out)
+	out = slices.Compact(out)
+	for i := s.moved; i < len(s.order); i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// leaf computes pfx's canonical leaf bytes; the caller holds s.mu.
+func (e *ProverEngine) leaf(s *shard, pfx prefix.Prefix) ([]byte, error) {
+	p := s.provers[pfx]
+	mc, err := p.CommitMinUnsigned()
+	if err != nil {
+		return nil, err
+	}
+	leaf, err := mc.SignedBytes()
+	if err != nil {
+		return nil, err
+	}
+	if e.cfg.Promisee != 0 {
+		// Bind a hiding commitment to the prefix's export statement into
+		// the leaf: the seal then vouches for the export without a
+		// per-prefix signature, and providers (who see the leaf via
+		// inclusion proofs) learn nothing about what was exported.
+		exp, err := p.ExportUnsigned(e.cfg.Promisee)
+		if err != nil {
+			return nil, err
+		}
+		eb, err := exp.SignedBytes()
+		if err != nil {
+			return nil, err
+		}
+		cm, op, err := e.cm.Commit(exportCommitTag, eb)
+		if err != nil {
+			return nil, err
+		}
+		s.exports[pfx] = &sealedExport{stmt: exp, cm: cm, op: op}
+		leaf = append(leaf, cm[:]...)
+	}
+	if e.cfg.ZKBind {
+		// Bind the digest of a Pedersen commitment vector over the
+		// committed bits into the leaf. The seal signature then vouches
+		// for the Pedersen vector alongside the hash-based one, letting
+		// the privacy plane hand third parties Σ-protocol proofs that
+		// verify against the gossiped seal.
+		bits, err := p.CommittedBits()
+		if err != nil {
+			return nil, err
+		}
+		cs, os, err := zkp.CommitBits(bits)
+		if err != nil {
+			return nil, err
+		}
+		z := &zkState{cs: cs, os: os, digest: zkp.DigestCommitments(cs)}
+		s.zk[pfx] = z
+		leaf = append(leaf, z.digest[:]...)
+	}
+	return leaf, nil
 }
 
 // ReplacePrefix is the streaming mutation path (internal/updplane): it
@@ -682,13 +717,7 @@ func (e *ProverEngine) ReplacePrefix(pfx prefix.Prefix, anns []core.Announcement
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.provers[pfx] = p
-	delete(s.leaves, pfx)
-	delete(s.exports, pfx)
-	delete(s.zk, pfx)
-	s.dirty = true
-	s.trace = tc
-	s.sealed = false
+	s.put(pfx, p, tc)
 	e.met.accepts.Add(uint64(len(anns)))
 	e.tr.Record(obs.Event{
 		Kind: obs.EvAnnounceAccepted, Epoch: e.epoch, Prefix: pfx.String(),
@@ -716,33 +745,28 @@ func (e *ProverEngine) RemovePrefix(pfx prefix.Prefix, tc obs.TraceContext) (boo
 	if _, ok := s.provers[pfx]; !ok {
 		return false, nil
 	}
-	delete(s.provers, pfx)
-	delete(s.leaves, pfx)
-	delete(s.exports, pfx)
-	delete(s.zk, pfx)
-	s.dirty = true
 	if tc.IsZero() {
 		tc = obs.NewTraceContext()
 	}
-	s.trace = tc
-	s.sealed = false
+	s.put(pfx, nil, tc)
 	return true, nil
 }
 
 // SealDirty advances the commitment window and re-seals incrementally:
-// shards dirtied since their last seal rebuild their Merkle batch
-// (recomputing commitments only for replaced prefixes, via the leaf
-// cache) and every clean shard merely re-signs its existing root under
-// the new window — one signature, no per-prefix work. It returns the full
-// seal set for the new window plus the indices of the shards that were
-// actually rebuilt; the difference is the §3.8 saving the update plane
-// exists to exploit. Never-sealed shards count as dirty.
+// shards dirtied since their last seal update their Merkle tree, hashing
+// only the leaves that changed or moved and their ancestors, and every
+// clean shard merely re-signs its existing root under the new window —
+// one signature, no per-prefix work. It returns the full seal set for the
+// new window plus the indices of the shards that were actually rebuilt;
+// the difference is the §3.8 saving the update plane exists to exploit.
+// Never-sealed shards count as dirty.
 func (e *ProverEngine) SealDirty() ([]*Seal, []uint32, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.begun {
 		return nil, nil, fmt.Errorf("engine: BeginEpoch not called")
 	}
+	e.sealed = true
 	return e.sealDirtyLocked()
 }
 
@@ -764,7 +788,7 @@ func (e *ProverEngine) sealDirtyLocked() ([]*Seal, []uint32, error) {
 			defer wg.Done()
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			if s.seal != nil && s.sealed && !s.dirty {
+			if s.sealed {
 				// Clean shard: same root, fresh window, one signature.
 				ns := *s.seal
 				ns.Window = window
@@ -893,7 +917,8 @@ func (e *ProverEngine) sealedProver(pfx prefix.Prefix) (*core.Prover, *SealedCom
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	proof, err := s.batch.Prove(s.index[pfx])
+	i, _ := s.find(pfx)
+	proof, err := s.batch.Prove(i)
 	if err != nil {
 		return nil, nil, nil, err
 	}

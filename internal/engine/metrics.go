@@ -15,10 +15,11 @@ type metrics struct {
 	batchSize      *obs.Histogram // announcements per AcceptAll
 	batchVerifySec *obs.Histogram // batched Ed25519 pass latency
 	sealSec        *obs.Histogram // whole SealEpoch / SealDirty latency
-	shardSealSec   *obs.Histogram // one shard Merkle rebuild + sign
+	shardSealSec   *obs.Histogram // one shard Merkle update + sign
 	sealsTotal     *obs.Counter   // seal signatures produced
-	shardsRebuilt  *obs.Counter   // shards that rebuilt their batch
+	shardsRebuilt  *obs.Counter   // dirty shards that updated their tree
 	shardsResigned *obs.Counter   // clean shards that only re-signed
+	leavesHashed   *obs.Counter   // leaf hashes computed by seals
 }
 
 func newMetrics(r *obs.Registry) *metrics {
@@ -29,10 +30,11 @@ func newMetrics(r *obs.Registry) *metrics {
 		batchSize:      obs.NewHistogram(r, "pvr_engine_accept_batch_size", "announcements per AcceptAll burst", obs.SizeBuckets(1<<16)),
 		batchVerifySec: obs.NewHistogram(r, "pvr_engine_batch_verify_seconds", "batched Ed25519 verification pass latency", nil),
 		sealSec:        obs.NewHistogram(r, "pvr_engine_seal_seconds", "SealEpoch/SealDirty latency across all shards", nil),
-		shardSealSec:   obs.NewHistogram(r, "pvr_engine_shard_seal_seconds", "single-shard Merkle rebuild + sign latency", nil),
+		shardSealSec:   obs.NewHistogram(r, "pvr_engine_shard_seal_seconds", "single-shard Merkle update + sign latency", nil),
 		sealsTotal:     obs.NewCounter(r, "pvr_engine_seals_total", "shard seal signatures produced"),
-		shardsRebuilt:  obs.NewCounter(r, "pvr_engine_shards_rebuilt_total", "shard seals that rebuilt the Merkle batch"),
+		shardsRebuilt:  obs.NewCounter(r, "pvr_engine_shards_rebuilt_total", "dirty shard seals that rehashed their changed Merkle leaves"),
 		shardsResigned: obs.NewCounter(r, "pvr_engine_shards_resigned_total", "clean shard seals that only re-signed the root"),
+		leavesHashed:   obs.NewCounter(r, "pvr_engine_leaves_hashed_total", "Merkle leaf hashes computed by shard seals"),
 	}
 }
 

@@ -30,42 +30,103 @@ type Batch struct {
 // fully deterministic, so the parallel build produces bit-identical
 // roots to the serial one.
 func NewBatch(msgs [][]byte) (*Batch, error) {
-	n := len(msgs)
+	all := make([]int, len(msgs))
+	for i := range all {
+		all[i] = i
+	}
+	b := &Batch{}
+	if err := b.Update(len(msgs), all, func(i int) []byte { return msgs[i] }); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Update brings the tree to n messages in place, msg(i) being message i,
+// rehashing only the leaves at the positions in changed (strictly
+// ascending) and their ancestors: O(Δ log n) hashes. As a leaf hash binds
+// its index, changed must list every position whose message or index
+// differs from the last build, and every new position. The zero Batch is
+// an empty tree; the result equals NewBatch over the same messages.
+func (b *Batch) Update(n int, changed []int, msg func(i int) []byte) error {
 	if n == 0 {
-		return nil, ErrEmptyTree
+		return ErrEmptyTree
 	}
-	padded := 1
-	for padded < n {
-		padded <<= 1
+	old := len(b.leaves)
+	prev := -1
+	for _, i := range changed {
+		if i <= prev || i >= n {
+			return fmt.Errorf("merkle: changed positions must ascend within 0..%d", n-1)
+		}
+		prev = i
 	}
-	flat := make([][HashSize]byte, 2*padded-1)
-	level0 := flat[:padded:padded]
-	parChunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			level0[i] = batchLeafHash(uint32(i), msgs[i])
+	if n > old && (len(changed) < n-old || changed[len(changed)-(n-old)] != old) {
+		return fmt.Errorf("merkle: new positions %d..%d not listed as changed", old, n-1)
+	}
+	// A new shape keeps the valid leaf hashes and rebuilds every level.
+	full := len(b.levels) == 0 || len(b.levels[0]) != paddedLen(n)
+	if full {
+		prev := b.leaves
+		b.layout(n)
+		copy(b.levels[0], prev[:min(old, n)])
+	}
+	level0 := b.levels[0]
+	parChunks(len(changed), func(lo, hi int) {
+		for _, i := range changed[lo:hi] {
+			level0[i] = batchLeafHash(uint32(i), msg(i))
 		}
 	})
-	for i := n; i < padded; i++ {
-		level0[i] = level0[n-1]
+	b.leaves = level0[:n]
+	from := len(level0) // every node at or past from is stale
+	if n != old || (len(changed) > 0 && changed[len(changed)-1] == n-1) {
+		for i := n; i < len(level0); i++ { // padding copies the last leaf
+			level0[i] = level0[n-1]
+		}
+		from = n
 	}
+	if full {
+		from = 0
+	}
+	b.rehashFrom(from, changed)
+	return nil
+}
 
-	levels := make([][][HashSize]byte, 0, bits.Len(uint(padded)))
-	levels = append(levels, level0)
-	cur := level0
-	off := padded
-	for size := padded / 2; size >= 1; size /= 2 {
-		next := flat[off : off+size : off+size]
-		src := cur
-		parChunks(size, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				next[i] = innerHash(src[2*i], src[2*i+1])
+func paddedLen(n int) int { return 1 << bits.Len(uint(n-1)) }
+
+// layout allocates storage for a tree of n leaves: levels[0] holds the
+// padded leaves, the last level the root, all in one flat allocation.
+func (b *Batch) layout(n int) {
+	padded := paddedLen(n)
+	flat := make([][HashSize]byte, 2*padded-1)
+	b.levels = make([][][HashSize]byte, 0, bits.Len(uint(padded)))
+	for off, size := 0, padded; size >= 1; off, size = off+size, size/2 {
+		b.levels = append(b.levels, flat[off:off+size:off+size])
+	}
+	b.leaves = b.levels[0][:n]
+}
+
+// rehashFrom recomputes the inner nodes above the leaves at the positions
+// in sparse (ascending) and above every leaf at or past position from.
+func (b *Batch) rehashFrom(from int, sparse []int) {
+	for l := 1; l < len(b.levels); l++ {
+		src, next := b.levels[l-1], b.levels[l]
+		from >>= 1
+		prev := -1
+		for _, i := range sparse {
+			p := i >> l
+			if p >= from {
+				break
+			}
+			if p != prev {
+				next[p] = innerHash(src[2*p], src[2*p+1])
+				prev = p
+			}
+		}
+		parChunks(len(next)-from, func(lo, hi int) {
+			for p := from + lo; p < from+hi; p++ {
+				next[p] = innerHash(src[2*p], src[2*p+1])
 			}
 		})
-		levels = append(levels, next)
-		cur = next
-		off += size
 	}
-	return &Batch{leaves: level0[:n], levels: levels}, nil
 }
 
 // batchLeafHash binds the message to its index so two equal messages at

@@ -2,6 +2,8 @@ package merkle
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -152,5 +154,82 @@ func TestBatchProofLengthLogarithmic(t *testing.T) {
 	}
 	if len(p.Siblings) != 10 { // log2(1024)
 		t.Errorf("proof length = %d, want 10", len(p.Siblings))
+	}
+}
+
+// TestBatchUpdateMatchesNewBatch: a tree updated in place through random
+// replacements, insertions and removals, growing past and shrinking below
+// powers of two (parallel-hashed sizes included) and emptied and refilled,
+// equals NewBatch over the same messages: root and every proof.
+func TestBatchUpdateMatchesNewBatch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	serial := 0
+	fresh := func() []byte { serial++; return []byte(fmt.Sprintf("msg-%d", serial)) }
+	var b Batch
+	var built, cur [][]byte
+	for _, target := range []int{5, 8, 9, 17, 16, 3, 1, 0, 40, 600, 1030, 1024, 700, 2} {
+		for step := 0; step < 4; step++ {
+			for r := rng.IntN(4); r > 0 && len(cur) > 0; r-- {
+				cur[rng.IntN(len(cur))] = fresh()
+			}
+			for len(cur) < target {
+				cur = slices.Insert(cur, rng.IntN(len(cur)+1), fresh())
+			}
+			for len(cur) > target {
+				i := rng.IntN(len(cur))
+				cur = slices.Delete(cur, i, i+1)
+			}
+			if len(cur) == 0 {
+				b, built = Batch{}, nil
+				continue
+			}
+			var changed []int
+			for i := range cur {
+				if i >= len(built) || string(cur[i]) != string(built[i]) {
+					changed = append(changed, i)
+				}
+			}
+			if err := b.Update(len(cur), changed, func(i int) []byte { return cur[i] }); err != nil {
+				t.Fatalf("n=%d: %v", len(cur), err)
+			}
+			built = slices.Clone(cur)
+			want, err := NewBatch(cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Root() != want.Root() || b.Len() != want.Len() {
+				t.Fatalf("n=%d, %d changed: root %s, want %s", len(cur), len(changed), b.Root(), want.Root())
+			}
+			for i := range cur {
+				got, _ := b.Prove(i)
+				exp, _ := want.Prove(i)
+				if !slices.Equal(got.Siblings, exp.Siblings) {
+					t.Fatalf("n=%d: proof %d differs from NewBatch", len(cur), i)
+				}
+			}
+		}
+	}
+}
+
+func TestBatchUpdateRejects(t *testing.T) {
+	ms := msgs(6)
+	msg := func(i int) []byte { return ms[i] }
+	var b Batch
+	if err := b.Update(0, nil, msg); err != ErrEmptyTree {
+		t.Errorf("empty update: %v", err)
+	}
+	if err := b.Update(4, []int{0, 1, 2}, msg); err == nil {
+		t.Error("a new position left unhashed was accepted")
+	}
+	if err := b.Update(4, []int{0, 1, 2, 3}, msg); err != nil {
+		t.Fatal(err)
+	}
+	for _, changed := range [][]int{{1, 0, 4}, {2, 2, 4}, {-1, 4}, {4, 5}, {3}} {
+		if err := b.Update(5, changed, msg); err == nil {
+			t.Errorf("changed %v accepted", changed)
+		}
+	}
+	if b.Len() != 4 {
+		t.Errorf("rejected updates changed the tree: Len %d", b.Len())
 	}
 }

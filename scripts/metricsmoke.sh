@@ -96,6 +96,7 @@ fi
 # and group commits are live, not just registered.
 for family in \
     pvr_engine_seals_total \
+    pvr_engine_leaves_hashed_total \
     pvr_upd_events_total \
     pvr_audit_rounds_total \
     pvr_disc_queries_total \

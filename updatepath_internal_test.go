@@ -1,7 +1,8 @@
 package pvr
 
-// The update path's signature budget and its verdict memo, seen through a
-// Participant: what a window costs the prover in signatures, that a memoized
+// The update path's signature and leaf-hash budgets and its verdict memo,
+// seen through a Participant: what a window costs the prover in signatures
+// and Merkle leaf hashes, that a memoized
 // route verdict never lets a tampered UPDATE through at the receiver, and
 // that UPDATEs built on the worker pool come out as the serial loop builds
 // them.
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"pvr/internal/bgp"
+	"pvr/internal/engine"
 	"pvr/internal/prefix"
 )
 
@@ -96,6 +98,60 @@ func TestWindowSignatureBudget(t *testing.T) {
 	}
 	if got, want := cs.n.Load(), int64(shards+announced); got != want {
 		t.Fatalf("Flush made %d signatures, want %d (%d seals + %d routes)", got, want, shards, announced)
+	}
+}
+
+// TestSealLeafHashBudget: a seal's Merkle work follows the change, not the
+// table. Open hashes one leaf per originated prefix; a window replacing Δ
+// present prefixes hashes exactly Δ; a window that adds or withdraws one
+// prefix hashes at most the leaves of that prefix's shard.
+func TestSealLeafHashBudget(t *testing.T) {
+	const shards, originated, announced = 4, 64, 5
+	reg := NewRegistry()
+	pfxs := testPrefixes(originated + 1)
+	a := openTest(t, WithASN(64500), WithRegistry(reg), WithTransport(NewMemTransport()),
+		WithOriginate(pfxs[:originated]...), WithShards(shards), WithWindow(0))
+	hashed := func() float64 {
+		v, _ := a.Metrics().Value("pvr_engine_leaves_hashed_total")
+		return v
+	}
+	if got := hashed(); got != originated {
+		t.Fatalf("Open hashed %v leaves, want %d", got, originated)
+	}
+	flush := func() float64 {
+		t.Helper()
+		before := hashed()
+		if _, err := a.Flush(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return hashed() - before
+	}
+	provider := openTest(t, WithASN(64501), WithRegistry(reg), WithTransport(NewMemTransport()))
+	announceAll(t, a, provider, pfxs[:announced], 3)
+	if got := flush(); got != announced {
+		t.Fatalf("a window replacing %d prefixes hashed %v leaves", announced, got)
+	}
+
+	extra := pfxs[originated]
+	idx, err := engine.ShardIndexFor(extra, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := 1.0
+	for _, pfx := range pfxs[:originated] {
+		if i, _ := engine.ShardIndexFor(pfx, shards); i == idx {
+			size++
+		}
+	}
+	announceAll(t, a, provider, []Prefix{extra}, 2)
+	if got := flush(); got < 1 || got > size {
+		t.Fatalf("a window adding one prefix hashed %v leaves, want 1..%v", got, size)
+	}
+	if err := a.Submit(context.Background(), WithdrawEvent(provider.ASN(), extra)); err != nil {
+		t.Fatal(err)
+	}
+	if got := flush(); got > size-1 {
+		t.Fatalf("a window withdrawing one prefix hashed %v leaves, want at most %v", got, size-1)
 	}
 }
 
